@@ -148,20 +148,62 @@ void BM_ReadDocumentBySize_Baseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadDocumentBySize_Baseline)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The same read with the worker pool on: embedded objects decode in
-// parallel.  GenerateCompoundDocument gives the root several children.
-void BM_ReadCompoundParallel(benchmark::State& state) {
+// Decode cost against embedded-object count: a root text holding `objects`
+// children that cycle through a text, a table with a text in a cell, and a
+// drawing, so nested texts appear at every size.  Read time should grow
+// linearly in the object count; the /4096 run also publishes the peak
+// accounted bytes of one decode (gated against the document size).
+std::string MakeEmbeddedObjectDocument(int objects) {
+  WorkloadRng rng(4096);
+  std::unique_ptr<TextData> doc = GenerateDocument(rng, 4 + objects / 4);
+  for (int i = 0; i < objects; ++i) {
+    std::unique_ptr<DataObject> child;
+    if (i % 3 == 0) {
+      auto text = std::make_unique<TextData>();
+      text->SetText(GenerateProse(rng, 12));
+      child = std::move(text);
+    } else if (i % 3 == 1) {
+      std::unique_ptr<TableData> table = GenerateSpreadsheet(rng, 3, 3);
+      auto cell = std::make_unique<TextData>();
+      cell->SetText(GenerateProse(rng, 8));
+      table->SetObject(1, 1, std::move(cell));
+      child = std::move(table);
+    } else {
+      child = GenerateDrawing(rng, 4, 80, 60);
+    }
+    int64_t pos = static_cast<int64_t>(rng.Below(static_cast<uint64_t>(doc->size() + 1)));
+    doc->InsertObject(pos, std::move(child));
+  }
+  return WriteDocument(*doc);
+}
+
+void BM_ReadCompoundByObjects(benchmark::State& state) {
   Setup();
-  std::string serialized = MakeDocument(64, 2);
+  std::string serialized = MakeEmbeddedObjectDocument(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     ReadContext ctx;
-    ctx.EnableDeferredDecode(static_cast<int>(state.range(0)));
     std::unique_ptr<DataObject> read = ReadDocument(serialized, &ctx);
     benchmark::DoNotOptimize(read);
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(serialized.size()));
+  state.counters["doc_bytes"] = static_cast<double>(serialized.size());
+  if (state.range(0) == 4096) {
+    using atk::observability::MemoryAccountant;
+    MemoryAccountant& accountant = MemoryAccountant::Instance();
+    accountant.ResetPeaks();
+    int64_t before = accountant.total();
+    {
+      ReadContext ctx;
+      std::unique_ptr<DataObject> read = ReadDocument(serialized, &ctx);
+      benchmark::DoNotOptimize(read);
+    }
+    static atk::observability::Gauge& doc_peak =
+        atk::observability::MetricsRegistry::Instance().gauge(
+            "datastream.bench.doc_peak_bytes");
+    doc_peak.Set(accountant.peak() - before);
+  }
 }
-BENCHMARK(BM_ReadCompoundParallel)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_ReadCompoundByObjects)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_RoundTripCompoundByNesting(benchmark::State& state) {
   Setup();

@@ -8,8 +8,8 @@
 //                           + layout prefix reuse)
 //   BM_MailCorpusRoundTrip — compound documents through write -> corrupt ->
 //                           salvage -> read -> re-write -> re-read (writer
-//                           chunking, zero-copy reader, deferred decode,
-//                           salvager)
+//                           chunking, zero-copy reader, embedded-object
+//                           decode, salvager)
 //   BM_ReplayFanOut       — a recorded multi-session edit trace replayed
 //                           against a fresh server (observer fan-out,
 //                           go-back-N, resync)

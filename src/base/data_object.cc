@@ -1,11 +1,8 @@
 #include "src/base/data_object.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "src/class_system/loader.h"
@@ -15,24 +12,6 @@
 namespace atk {
 namespace {
 
-// Loader::NewObject (module lookup, on-demand dlopen) is not thread-safe;
-// Phase B workers decoding a grandchild inline must serialize through it.
-std::mutex& LoaderMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-// The ATK_DS_THREADS knob: 0 / unset / garbage means serial decode (today's
-// path, byte-for-byte); N >= 1 enables the deferred pipeline with N workers.
-int ThreadsFromEnv() {
-  const char* env = std::getenv("ATK_DS_THREADS");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  int threads = std::atoi(env);
-  return threads > 0 ? threads : 0;
-}
-
 // ---- Decoded-object census (DESIGN.md §8) ----------------------------------
 //
 // Every object ReadObjectBody creates is registered here with its runtime
@@ -40,20 +19,6 @@ int ThreadsFromEnv() {
 // unregisters.  The registry stores the ClassInfo pointer (leaked statics)
 // at registration time, so the census never makes a virtual call on a live
 // object — a concurrently-destructing instance cannot race it.
-
-observability::MemoryAccount& DeferredMemAccount() {
-  // Overlay: the queued captures are views into the reader's pinned buffer,
-  // which datastream.mem.pinned already counts.
-  static observability::MemoryAccount& account =
-      observability::MemoryAccountant::Instance().overlay("datastream.mem.deferred");
-  return account;
-}
-
-observability::MemoryAccount& OrphanMemAccount() {
-  static observability::MemoryAccount& account =
-      observability::MemoryAccountant::Instance().account("datastream.mem.orphan");
-  return account;
-}
 
 observability::MemoryAccount& DataObjectMemAccount() {
   // Overlay: decoded body bytes live in the components' own storage (gap
@@ -138,12 +103,7 @@ void UnregisterDecodedObject(const DataObject* object) {
 ATK_DEFINE_ABSTRACT_CLASS(DataObject, Object, "dataobject")
 ATK_DEFINE_CLASS(UnknownObject, DataObject, "unknown")
 
-DataObject::~DataObject() {
-  if (deferred_in_ != nullptr) {
-    deferred_in_->CancelDeferred(this);
-  }
-  UnregisterDecodedObject(this);
-}
+DataObject::~DataObject() { UnregisterDecodedObject(this); }
 
 int64_t DataObject::Write(DataStreamWriter& writer) const {
   int64_t id = writer.BeginData(DataTypeName());
@@ -180,149 +140,6 @@ bool DataObject::ConsumeUntilEndData(DataStreamReader& reader) {
   }
 }
 
-void ReadContext::EnableDeferredDecode(int workers) {
-  if (workers < 1) {
-    workers = 1;
-  }
-  if (workers > 64) {
-    workers = 64;
-  }
-  workers_ = workers;
-}
-
-void ReadContext::QueueDeferred(DataObject* object, std::string type, int64_t id,
-                                const DataStreamReader::RawCapture& capture) {
-  DeferredChild child;
-  child.object = object;
-  child.type = std::move(type);
-  child.id = id;
-  child.capture = capture;
-  child.mem = observability::ScopedCharge(DeferredMemAccount(),
-                                          static_cast<int64_t>(capture.with_end.size()));
-  object->deferred_in_ = this;
-  deferred_.push_back(std::move(child));
-}
-
-void ReadContext::CancelDeferred(DataObject* object) {
-  for (DeferredChild& child : deferred_) {
-    if (child.object != object) {
-      continue;
-    }
-    // The one place a queued child's death is handled.  Phase B will decode
-    // a throwaway so the same malformed-body errors surface as in a serial
-    // decode — but the capture's views point into the buffer of whatever
-    // decode the dead object belonged to, and nothing ties that buffer's
-    // lifetime to this context once the owner is gone.  Copy the bytes into
-    // context-owned storage now, so the throwaway decode can never read
-    // through a dangling view.
-    child.object = nullptr;
-    child.orphan_arena.assign(child.capture.with_end.data(),
-                              child.capture.with_end.size());
-    std::string_view arena(child.orphan_arena);
-    child.capture.body = arena.substr(0, child.capture.body.size());
-    child.capture.with_end = arena;
-    // The copy is owned storage the context retains until the entry drains
-    // (or the context dies): charge it so it stops being invisible.
-    child.orphan_mem = observability::ScopedCharge(
-        OrphanMemAccount(), static_cast<int64_t>(child.orphan_arena.capacity()));
-  }
-}
-
-ReadContext::~ReadContext() {
-  for (DeferredChild& child : deferred_) {
-    if (child.object != nullptr) {
-      child.object->deferred_in_ = nullptr;
-    }
-  }
-}
-
-void ReadContext::DrainDeferred() {
-  if (!deferred_.empty()) {
-    // Phase B: each worker claims queue slots and decodes into a private
-    // sub-context.  The parent (this) is read-only until the joins below.
-    size_t pool = static_cast<size_t>(workers_ > 0 ? workers_ : 1);
-    if (pool > deferred_.size()) {
-      pool = deferred_.size();
-    }
-    std::atomic<size_t> cursor{0};
-    auto worker = [this, &cursor]() {
-      while (true) {
-        size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= deferred_.size()) {
-          return;
-        }
-        DeferredChild& child = deferred_[i];
-        child.sub = std::make_unique<ReadContext>();
-        child.sub->parent_ = this;
-        DataStreamReader sub_reader =
-            DataStreamReader::ForEmbeddedObject(child.capture, child.type, child.id);
-        DataObject* target = child.object;
-        std::unique_ptr<DataObject> throwaway;
-        if (target == nullptr) {
-          // The owner discarded this child during Phase A.  Decode into a
-          // throwaway of the same type anyway, so malformed-body errors
-          // surface exactly as they would have in a serial decode.
-          std::lock_guard<std::mutex> lock(LoaderMutex());
-          throwaway = ObjectCast<DataObject>(Loader::Instance().NewObject(child.type));
-          target = throwaway.get();
-        }
-        if (target != nullptr) {
-          if (!target->ReadBody(sub_reader, *child.sub)) {
-            child.sub->AddError("malformed body for object type: " + child.type);
-          }
-          for (const Diagnostic& diagnostic : sub_reader.diagnostics()) {
-            child.sub->AddDiagnostic(diagnostic);
-          }
-        }
-        if (child.object != nullptr) {
-          child.object->deferred_in_ = nullptr;
-        }
-      }
-    };
-    if (pool <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(pool);
-      for (size_t i = 0; i < pool; ++i) {
-        threads.emplace_back(worker);
-      }
-      for (std::thread& thread : threads) {
-        thread.join();
-      }
-    }
-    // Merge in submission order: whatever N was, the parent sees the same
-    // registrations, diagnostics and fixups in the same sequence.
-    std::vector<DeferredChild> drained = std::move(deferred_);
-    deferred_.clear();
-    for (DeferredChild& child : drained) {
-      if (child.sub == nullptr) {
-        continue;
-      }
-      // Orphaned entries decoded into a throwaway that is already gone:
-      // their errors are real, but their registrations and fixups point at
-      // dead objects and must not escape.
-      if (child.object != nullptr) {
-        for (const auto& [id, object] : child.sub->by_id_) {
-          by_id_[id] = object;
-        }
-        for (auto& fixup : child.sub->fixups_) {
-          fixups_.push_back(std::move(fixup));
-        }
-      }
-      for (Diagnostic& diagnostic : child.sub->diagnostics_) {
-        AddDiagnostic(std::move(diagnostic));
-      }
-    }
-  }
-  // Cross-object wiring, serially, with every registration in place.
-  std::vector<std::function<void(ReadContext&)>> fixups = std::move(fixups_);
-  fixups_.clear();
-  for (auto& fixup : fixups) {
-    fixup(*this);
-  }
-}
-
 std::unique_ptr<DataObject> ReadObject(DataStreamReader& reader, ReadContext& context) {
   using Kind = DataStreamReader::Token::Kind;
   DataStreamReader::Token token = reader.Next();
@@ -342,12 +159,7 @@ std::unique_ptr<DataObject> ReadObject(DataStreamReader& reader, ReadContext& co
 
 std::unique_ptr<DataObject> ReadObjectBody(DataStreamReader& reader, ReadContext& context,
                                            const std::string& type, int64_t id) {
-  std::unique_ptr<Object> object;
-  {
-    std::lock_guard<std::mutex> lock(LoaderMutex());
-    object = Loader::Instance().NewObject(type);
-  }
-  std::unique_ptr<DataObject> data = ObjectCast<DataObject>(std::move(object));
+  std::unique_ptr<DataObject> data = ObjectCast<DataObject>(Loader::Instance().NewObject(type));
   if (data == nullptr) {
     // No module provides `type`: capture raw and keep going (§5).  The copy
     // out of the pinned buffer is deliberate — the UnknownObject outlives
@@ -362,14 +174,6 @@ std::unique_ptr<DataObject> ReadObjectBody(DataStreamReader& reader, ReadContext
     return unknown;
   }
   context.RegisterObject(id, data.get());
-  if (context.ShouldDefer(reader)) {
-    // Phase A: skip over the body, queueing the raw capture for the pool.
-    DataStreamReader::RawCapture capture;
-    reader.SkipObject(type, id, &capture);
-    context.QueueDeferred(data.get(), type, id, capture);
-    RegisterDecodedObject(data.get(), capture.with_end.size());
-    return data;
-  }
   size_t body_from = reader.position();
   if (!data->ReadBody(reader, context)) {
     context.AddError("malformed body for object type: " + type);
@@ -387,15 +191,7 @@ std::unique_ptr<DataObject> ReadDocument(std::string input, ReadContext* context
   DataStreamReader reader(std::move(input));
   ReadContext local;
   ReadContext& ctx = context != nullptr ? *context : local;
-  if (!ctx.deferred_decode_enabled()) {
-    int threads = ThreadsFromEnv();
-    if (threads > 0) {
-      ctx.EnableDeferredDecode(threads);
-    }
-  }
   std::unique_ptr<DataObject> root = ReadObject(reader, ctx);
-  // Phase B + fixups.  A context without deferral still runs its fixups here.
-  ctx.DrainDeferred();
   if (reader.truncated() && root != nullptr) {
     ctx.AddError("document truncated");
   }

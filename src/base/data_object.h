@@ -8,7 +8,6 @@
 #ifndef ATK_SRC_BASE_DATA_OBJECT_H_
 #define ATK_SRC_BASE_DATA_OBJECT_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,21 +24,9 @@ namespace atk {
 class DataObject;
 
 // Shared state while reading one datastream: the id -> object map used to
-// resolve \view{type,id} references, and error notes.
-//
-// Parallel decode (PR 5).  When deferred decode is enabled (explicitly via
-// EnableDeferredDecode, or by ReadDocument from the ATK_DS_THREADS knob),
-// ReadObjectBody does not decode embedded children inline: Phase A — on the
-// parsing thread — creates and registers the child object, captures its raw
-// bytes with SkipObject, and queues them; DrainDeferred then runs Phase B,
-// decoding the captured bodies on a worker pool via ForEmbeddedObject
-// sub-readers.  Each worker writes into a private sub-context (Resolve chains
-// to the parent, which is read-only during Phase B); sub-context results —
-// registrations, diagnostics, fixups — are merged on the calling thread in
-// submission order, so the decoded document is byte-identical no matter how
-// many workers ran.  Cross-object wiring that mutates *another* object (the
-// chart observing its source table) must go through AddFixup: fixups run
-// serially after the merge, when no worker is touching anything.
+// resolve \view{type,id} references, and error notes.  Decode is a single
+// serial pass, so Resolve finds only objects already read; the writer's
+// ordering rule (targets before the references to them) makes that enough.
 class ReadContext {
  public:
   ReadContext() = default;
@@ -49,10 +36,7 @@ class ReadContext {
   void RegisterObject(int64_t id, DataObject* object) { by_id_[id] = object; }
   DataObject* Resolve(int64_t id) const {
     auto it = by_id_.find(id);
-    if (it != by_id_.end()) {
-      return it->second;
-    }
-    return parent_ != nullptr ? parent_->Resolve(id) : nullptr;
+    return it != by_id_.end() ? it->second : nullptr;
   }
 
   void AddError(std::string message) {
@@ -75,83 +59,10 @@ class ReadContext {
                                          diagnostics_.front().message);
   }
 
-  // ---- Parallel embedded-object decode (PR 5) ----
-
-  // Turns on deferred decode with a pool of `workers` threads (clamped to
-  // [1, 64]).  Must be called before parsing begins; whoever parses with this
-  // context must call DrainDeferred afterwards (ReadDocument does).
-  void EnableDeferredDecode(int workers);
-  bool deferred_decode_enabled() const { return workers_ > 0; }
-
-  // True when ReadObjectBody should capture-and-queue `reader`'s current
-  // object instead of decoding inline: the top-level context has deferral on
-  // and the object is an embedded child (depth > 1), not the document root.
-  bool ShouldDefer(const DataStreamReader& reader) const {
-    return workers_ > 0 && parent_ == nullptr && reader.depth() > 1;
-  }
-
-  // True when ReadBody implementations must route cross-object mutation
-  // through AddFixup instead of performing it inline: either deferral is on
-  // (another worker may own the target object) or this is a worker's
-  // sub-context.
-  bool UsesFixups() const { return workers_ > 0 || parent_ != nullptr; }
-
-  // Queues a mutation to run serially after Phase B, with every object
-  // decoded and every registration merged.  Safe to call from any context;
-  // without deferral the fixups run at the end of DrainDeferred all the same.
-  void AddFixup(std::function<void(ReadContext&)> fixup) {
-    fixups_.push_back(std::move(fixup));
-  }
-
-  // Phase A bookkeeping: `object` (already created and registered) will have
-  // `capture` decoded into it during DrainDeferred.
-  void QueueDeferred(DataObject* object, std::string type, int64_t id,
-                     const DataStreamReader::RawCapture& capture);
-  size_t deferred_count() const { return deferred_.size(); }
-
-  // Called from ~DataObject when a queued child dies before DrainDeferred —
-  // a component read the object but discarded it (e.g. a \cellobject whose
-  // \view reference was lost to damage).  The entry is kept but orphaned:
-  // Phase B decodes the capture into a throwaway object so the same
-  // malformed-body errors surface as in a serial decode, without touching
-  // the dead pointer.
-  void CancelDeferred(DataObject* object);
-
-  ~ReadContext();
-
-  // Phase B: decodes every queued capture on the worker pool, merges
-  // sub-context results in submission order, then runs fixups.  Idempotent;
-  // also runs fixups when nothing was deferred.
-  void DrainDeferred();
-
  private:
-  struct DeferredChild {
-    DataObject* object = nullptr;
-    std::string type;
-    int64_t id = 0;
-    DataStreamReader::RawCapture capture;
-    // Owned copy of the capture bytes, populated by CancelDeferred when the
-    // child dies before Phase B (`capture`'s views are repointed here; the
-    // original buffer's lifetime was tied to the dead owner's decode).
-    std::string orphan_arena;
-    std::unique_ptr<ReadContext> sub;
-    // Byte accounting: `mem` holds the queued capture extent against the
-    // `datastream.mem.deferred` overlay (the bytes alias the reader's
-    // pinned buffer); `orphan_mem` holds the owned orphan_arena copy
-    // against `datastream.mem.orphan`.  Both release when the entry is
-    // drained or its context dies — the orphan copies used to be silently
-    // retained with no visibility.
-    observability::ScopedCharge mem;
-    observability::ScopedCharge orphan_mem;
-  };
-
   std::map<int64_t, DataObject*> by_id_;
   std::vector<std::string> errors_;
   std::vector<Diagnostic> diagnostics_;
-  ReadContext* parent_ = nullptr;  // Set on worker sub-contexts only.
-  int workers_ = 0;
-  std::vector<DeferredChild> deferred_;
-  std::vector<std::function<void(ReadContext&)>> fixups_;
 };
 
 class DataObject : public Object, public Observable {
@@ -188,13 +99,6 @@ class DataObject : public Object, public Observable {
   // directives, ignores text, reads embedded children via ReadEmbedded,
   // stops at kEndData.  Provided as a building block for ReadBody overrides.
   bool ConsumeUntilEndData(DataStreamReader& reader);
-
- private:
-  friend class ReadContext;
-  // Non-null while this object sits in a ReadContext's deferred-decode
-  // queue; the destructor cancels the entry so Phase B never dereferences a
-  // child its owner discarded.
-  ReadContext* deferred_in_ = nullptr;
 };
 
 // Reads one object: expects the next token to be kBeginData.  Instantiates

@@ -132,25 +132,11 @@ bool ChartData::ReadBody(DataStreamReader& reader, ReadContext& context) {
           std::sscanf(args.c_str(), "%d,%d", &first_row_, &last_row_);
         } else if (token.type == "chartsource") {
           int64_t id = std::atoll(std::string(token.text).c_str());
-          if (context.UsesFixups()) {
-            // Deferred decode: the table may still be on a worker, and
-            // SetSource mutates the *table's* observer list.  Resolve and
-            // wire after Phase B, when every object is decoded and merged.
-            context.AddFixup([this, id](ReadContext& ctx) {
-              TableData* table = ObjectCast<TableData>(ctx.Resolve(id));
-              if (table != nullptr) {
-                SetSource(table);
-              } else if (id != 0) {
-                ctx.AddError("chart source id " + std::to_string(id) + " not found");
-              }
-            });
-          } else {
-            TableData* table = ObjectCast<TableData>(context.Resolve(id));
-            if (table != nullptr) {
-              SetSource(table);
-            } else if (id != 0) {
-              context.AddError("chart source id " + std::to_string(id) + " not found");
-            }
+          TableData* table = ObjectCast<TableData>(context.Resolve(id));
+          if (table != nullptr) {
+            SetSource(table);
+          } else if (id != 0) {
+            context.AddError("chart source id " + std::to_string(id) + " not found");
           }
         }
         break;

@@ -305,8 +305,12 @@ bool TextData::ReadBody(DataStreamReader& reader, ReadContext& context) {
   runs_.clear();
   newline_count_ = 0;
   // Bulk ingestion: the body is at most the rest of the reader's input, so
-  // one reservation up front makes the kText inserts gap-growth-free.
-  buffer_.Reserve(reader.input_size() - reader.position());
+  // one reservation up front makes the kText inserts gap-growth-free.  Only
+  // the outermost object reserves: a nested text would claim the rest of the
+  // whole document, once per embedded text.
+  if (reader.depth() == 1) {
+    buffer_.Reserve(reader.input_size() - reader.position());
+  }
   std::vector<StyleRun> pending_runs;
   // Children arrive before the \view reference(s) that place them; a child
   // may be referenced by several anchors (shared data object, §2).

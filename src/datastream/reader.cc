@@ -105,20 +105,8 @@ DataStreamReader::DataStreamReader(std::istream& in) {
                                             static_cast<int64_t>(owned_.capacity()));
 }
 
-DataStreamReader::DataStreamReader(std::string_view pinned, size_t base_offset)
-    : data_(pinned), base_offset_(base_offset) {
+DataStreamReader::DataStreamReader(std::string_view pinned) : data_(pinned) {
   CountReaderOpen(data_.size());
-}
-
-DataStreamReader DataStreamReader::ForEmbeddedObject(const RawCapture& capture,
-                                                     std::string_view type, int64_t id) {
-  // Sub-readers over a slice of an already-counted document do not re-count
-  // datastream.reader.opened/bytes, so the §5 accounting stays per-document.
-  DataStreamReader reader;
-  reader.data_ = capture.with_end;
-  reader.base_offset_ = capture.offset;
-  reader.open_.push_back(OpenMarker{std::string(type), id});
-  return reader;
 }
 
 const DataStreamReader::Token& DataStreamReader::Peek() {
@@ -188,7 +176,7 @@ void DataStreamReader::MarkTruncated(size_t offset, std::string message) {
 std::string_view DataStreamReader::Intern(std::string&& pending) {
   scratch_bytes_ += pending.size();
   arena_.push_back(std::move(pending));
-  // Lazy attach keeps escape-free reads (and sub-readers) at zero charges.
+  // Lazy attach keeps escape-free reads at zero charges.
   if (!scratch_mem_.attached()) {
     scratch_mem_ = observability::ScopedCharge(DataStreamScratchAccount());
   }
@@ -221,9 +209,9 @@ bool DataStreamReader::LexDirective(Token* token) {
     token->kind = Token::Kind::kDiagnostic;
     token->type = name;
     token->text = data_.substr(start, p - start);
-    token->offset = Abs(start);
+    token->offset = start;
     pos_ = p;  // A trailing newline stays in the stream as ordinary text.
-    AddDiagnostic(StatusCode::kCorrupt, Abs(start),
+    AddDiagnostic(StatusCode::kCorrupt, start,
                   "unterminated directive \\" + std::string(name) + "{...");
     return true;
   }
@@ -239,8 +227,8 @@ bool DataStreamReader::LexDirective(Token* token) {
       token->kind = Token::Kind::kDiagnostic;
       token->type = name;
       token->text = data_.substr(start, pos_ - start);
-      token->offset = Abs(start);
-      AddDiagnostic(StatusCode::kCorrupt, Abs(start),
+      token->offset = start;
+      AddDiagnostic(StatusCode::kCorrupt, start,
                     "malformed \\" + std::string(name) + " marker args: {" +
                         std::string(args) + "}");
       return true;
@@ -259,7 +247,7 @@ bool DataStreamReader::LexDirective(Token* token) {
       if (!open_.empty() && open_.back().type == type && open_.back().id == id) {
         open_.pop_back();
       } else {
-        AddDiagnostic(StatusCode::kCorrupt, Abs(start),
+        AddDiagnostic(StatusCode::kCorrupt, start,
                       "mismatched \\enddata{" + std::string(type) + "," +
                           std::to_string(id) + "}");
         if (!open_.empty()) {
@@ -270,7 +258,7 @@ bool DataStreamReader::LexDirective(Token* token) {
     }
     token->type = type;
     token->id = id;
-    token->offset = Abs(start);
+    token->offset = start;
     return true;
   }
   if (name == "view") {
@@ -280,21 +268,21 @@ bool DataStreamReader::LexDirective(Token* token) {
       token->kind = Token::Kind::kViewRef;
       token->type = type;
       token->id = id;
-      token->offset = Abs(start);
+      token->offset = start;
       return true;
     }
     token->kind = Token::Kind::kDiagnostic;
     token->type = name;
     token->text = data_.substr(start, pos_ - start);
-    token->offset = Abs(start);
-    AddDiagnostic(StatusCode::kCorrupt, Abs(start),
+    token->offset = start;
+    AddDiagnostic(StatusCode::kCorrupt, start,
                   "malformed \\view args: {" + std::string(args) + "}");
     return true;
   }
   token->kind = Token::Kind::kDirective;
   token->type = name;
   token->text = args;
-  token->offset = Abs(start);
+  token->offset = start;
   return true;
 }
 
@@ -354,7 +342,7 @@ DataStreamReader::Token DataStreamReader::Lex() {
         return directive;
       }
       token.kind = Token::Kind::kText;
-      token.offset = Abs(text_start);
+      token.offset = text_start;
       if (materialized) {
         flush_segment(b);
         token.text = Intern(std::move(pending));
@@ -369,44 +357,34 @@ DataStreamReader::Token DataStreamReader::Lex() {
     // literal text (the paper's partial-destruction recovery posture).  The
     // byte is its own unescaped form, so the segment continues through it —
     // no materialization needed.
-    AddDiagnostic(StatusCode::kCorrupt, Abs(b), "lone backslash recovered as literal text");
+    AddDiagnostic(StatusCode::kCorrupt, b, "lone backslash recovered as literal text");
     pos_ = b + 1;
   }
   if (materialized) {
     flush_segment(pos_);
     token.kind = Token::Kind::kText;
     token.text = Intern(std::move(pending));
-    token.offset = Abs(text_start);
+    token.offset = text_start;
     return token;
   }
   if (pos_ > text_start) {
     token.kind = Token::Kind::kText;
     token.text = data_.substr(text_start, pos_ - text_start);
-    token.offset = Abs(text_start);
+    token.offset = text_start;
     return token;
   }
   if (!open_.empty()) {
-    MarkTruncated(Abs(pos_), "input ended with " + std::to_string(open_.size()) +
-                                 " marker(s) still open (innermost: \\begindata{" +
-                                 open_.back().type + "," + std::to_string(open_.back().id) +
-                                 "})");
+    MarkTruncated(pos_, "input ended with " + std::to_string(open_.size()) +
+                            " marker(s) still open (innermost: \\begindata{" +
+                            open_.back().type + "," + std::to_string(open_.back().id) + "})");
   }
   token.kind = Token::Kind::kEof;
-  token.offset = Abs(pos_);
+  token.offset = pos_;
   return token;
 }
 
 bool DataStreamReader::SkipObject(std::string_view type, int64_t id,
                                   std::string_view* raw_body) {
-  RawCapture capture;
-  bool ok = SkipObject(type, id, &capture);
-  if (raw_body != nullptr) {
-    *raw_body = capture.body;
-  }
-  return ok;
-}
-
-bool DataStreamReader::SkipObject(std::string_view type, int64_t id, RawCapture* capture) {
   // Bracket-match on raw input without interpreting component payloads.
   // We scan for \begindata / \enddata directives only; escaped backslashes
   // cannot form a directive because "\\begindata" parses as literal
@@ -456,7 +434,7 @@ bool DataStreamReader::SkipObject(std::string_view type, int64_t id, RawCapture*
         std::string_view end_type;
         int64_t end_id = 0;
         if (!ParseMarkerArgs(args, &end_type, &end_id) || end_type != type || end_id != id) {
-          AddDiagnostic(StatusCode::kCorrupt, Abs(p),
+          AddDiagnostic(StatusCode::kCorrupt, p,
                         "skip of \\begindata{" + std::string(type) + "," + std::to_string(id) +
                             "} closed by non-matching \\enddata{" + std::string(args) + "}");
         }
@@ -464,11 +442,8 @@ bool DataStreamReader::SkipObject(std::string_view type, int64_t id, RawCapture*
         if (pos_ < data_.size() && data_[pos_] == '\n') {
           ++pos_;
         }
-        if (capture != nullptr) {
-          capture->body = data_.substr(body_start, p - body_start);
-          capture->with_end = data_.substr(body_start, pos_ - body_start);
-          capture->offset = Abs(body_start);
-          capture->complete = true;
+        if (raw_body != nullptr) {
+          *raw_body = data_.substr(body_start, p - body_start);
         }
         if (!open_.empty()) {
           open_.pop_back();
@@ -479,13 +454,10 @@ bool DataStreamReader::SkipObject(std::string_view type, int64_t id, RawCapture*
     p = close + 1;
   }
   // Ran off the end: truncated object.
-  MarkTruncated(Abs(data_.size()), "input ended while skipping \\begindata{" +
-                                       std::string(type) + "," + std::to_string(id) + "}");
-  if (capture != nullptr) {
-    capture->body = data_.substr(body_start);
-    capture->with_end = capture->body;
-    capture->offset = Abs(body_start);
-    capture->complete = false;
+  MarkTruncated(data_.size(), "input ended while skipping \\begindata{" +
+                                  std::string(type) + "," + std::to_string(id) + "}");
+  if (raw_body != nullptr) {
+    *raw_body = data_.substr(body_start);
   }
   pos_ = data_.size();
   open_.clear();

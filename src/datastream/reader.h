@@ -28,9 +28,7 @@
 // kDiagnostic tokens carrying the raw damaged bytes, and every recovery the
 // reader performs is recorded in `diagnostics()` with a byte offset, so a
 // salvage pass (src/robustness/salvage.h) can locate the damage exactly.
-// Offsets are relative to the pinned buffer's origin: a sub-reader opened
-// over an embedded object's raw bytes (ForEmbeddedObject) reports offsets
-// in the *enclosing* document's coordinates via its base offset.
+// Offsets are byte positions in the pinned buffer.
 //
 // Behavioural identity with the pre-rewrite lexer (token boundaries, token
 // bytes, diagnostics, recovery) is pinned by the 64-seed differential sweep
@@ -82,16 +80,6 @@ class DataStreamReader {
     size_t offset = 0; // Byte offset where the token started (diagnostics).
   };
 
-  // The raw bytes of one skipped object, captured without parsing.
-  struct RawCapture {
-    std::string_view body;        // Between the markers, escapes intact.
-    std::string_view with_end;    // body plus the closing \enddata{...}\n —
-                                  // a self-delimiting unit ForEmbeddedObject
-                                  // can re-lex.
-    size_t offset = 0;            // Pinned-buffer offset of `body`.
-    bool complete = false;        // False when input ended inside the object.
-  };
-
   // Owning constructor: pins `input` for the reader's lifetime.
   explicit DataStreamReader(std::string input);
   // String literals own-by-copy (disambiguates from the borrowing ctor).
@@ -99,18 +87,8 @@ class DataStreamReader {
   // Reads `in` to EOF in large chunks (no ostringstream detour), then pins.
   explicit DataStreamReader(std::istream& in);
   // Borrowing constructor: the caller guarantees `pinned` outlives the
-  // reader.  Token/diagnostic offsets are `base_offset` + position within
-  // `pinned`, so diagnostics from a slice of a larger document still point
-  // into that document.
-  explicit DataStreamReader(std::string_view pinned, size_t base_offset = 0);
-
-  // A sub-reader over one embedded object captured by SkipObject: lexes
-  // `capture.with_end` as if the object's \begindata{type,id} had just been
-  // consumed (the marker is pre-opened, so the body's own \enddata balances).
-  // Used by the parallel decode stage; the parent reader's pinned buffer
-  // must outlive the sub-reader.
-  static DataStreamReader ForEmbeddedObject(const RawCapture& capture,
-                                            std::string_view type, int64_t id);
+  // reader.
+  explicit DataStreamReader(std::string_view pinned);
 
   // Returns the next token.  At end of input returns kEof forever.
   Token Next();
@@ -130,8 +108,6 @@ class DataStreamReader {
   // peek point first, so the peeked token's bytes are part of the skipped
   // body instead of being silently dropped (the pre-PR-5 footgun).
   bool SkipObject(std::string_view type, int64_t id, std::string_view* raw_body = nullptr);
-  // As above, capturing the full extent for deferred decode.
-  bool SkipObject(std::string_view type, int64_t id, RawCapture* capture);
 
   // Nesting depth of open \begindata markers seen so far.
   int depth() const { return static_cast<int>(open_.size()); }
@@ -147,7 +123,7 @@ class DataStreamReader {
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
 
   // Byte offset of the read cursor within this reader's input (diagnostics,
-  // bench).  For a sub-reader, relative to its slice, not the document.
+  // bench).
   size_t position() const { return pos_; }
   size_t input_size() const { return data_.size(); }
 
@@ -156,10 +132,6 @@ class DataStreamReader {
   size_t scratch_bytes() const { return scratch_bytes_; }
 
  private:
-  // For ForEmbeddedObject: a sub-reader over an already-counted document is
-  // assembled field-by-field (and skips the reader-open metrics).
-  DataStreamReader() = default;
-
   struct OpenMarker {
     std::string type;
     int64_t id;
@@ -189,11 +161,9 @@ class DataStreamReader {
   void RewindPeek();
   // Moves `pending` into the arena and returns a stable view of it.
   std::string_view Intern(std::string&& pending);
-  size_t Abs(size_t rel) const { return rel + base_offset_; }
 
   std::string owned_;       // Backing bytes for the owning constructors.
   std::string_view data_;   // The pinned buffer all views slice into.
-  size_t base_offset_ = 0;  // Added to every reported offset.
   size_t pos_ = 0;
   std::vector<OpenMarker> open_;
   std::vector<Diagnostic> diagnostics_;

@@ -3,8 +3,7 @@
 //
 // The toolkit's bytes live in pools scattered across every layer: gap
 // buffers under the text component, the datastream reader's pinned buffer
-// and unescape arena, deferred-decode capture queues and their orphaned
-// copies, Region band storage, the tracer's per-thread span rings
+// and unescape arena, Region band storage, the tracer's per-thread span rings
 // (including generations retired by SetCapacity/Clear, which are leaked on
 // purpose), and the server channels' send/retransmit queues.  Before this
 // module none of that was visible, so no eviction or budget policy could be
@@ -33,8 +32,7 @@
 // Accounts are *exclusive* by default: their bytes are owned storage and
 // roll into the process totals (`obs.mem.total_bytes` /
 // `obs.mem.peak_bytes`).  An *overlay* account tracks bytes that alias
-// storage already counted elsewhere (the deferred-decode queue holds views
-// into the reader's pinned buffer; decoded DataObject body bytes live in
+// storage already counted elsewhere (decoded DataObject body bytes live in
 // gap buffers) — overlays publish the same three metrics but are excluded
 // from the totals, so the totals stay comparable to an external allocator
 // oracle (tested to within 10% on the 256-paragraph corpus).
@@ -118,8 +116,8 @@ class MemoryAccount {
 
 // RAII charge against one account.  Movable (the charge transfers), not
 // copyable.  A default-constructed ScopedCharge is inert; Resize() on it is
-// a no-op, so pool owners that are themselves default-constructed (the
-// embedded-object sub-reader) stay valid.
+// a no-op, so pool owners that charge nothing (a reader borrowing its
+// input) stay valid.
 class ScopedCharge {
  public:
   ScopedCharge() = default;

@@ -13,8 +13,8 @@
 // double-apply.
 //
 // Determinism contract: the final document bytes depend only on the trace.
-// Serial, `ATK_DS_THREADS=8`, and `ATK_NET_FAULTS` runs all converge to
-// ExpectedReplayText(trace), which mirrors the server's clamping exactly.
+// Clean and `ATK_NET_FAULTS` runs both converge to ExpectedReplayText(trace),
+// which mirrors the server's clamping exactly.
 
 #ifndef ATK_SRC_WORKLOAD_EDIT_REPLAY_H_
 #define ATK_SRC_WORKLOAD_EDIT_REPLAY_H_

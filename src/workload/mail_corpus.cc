@@ -83,12 +83,9 @@ MailCorpusResult RunMailCorpus(const MailCorpusSpec& spec) {
       salvaged_counter.Add(1);
     }
 
-    // Read → re-write → re-read: the reader (optionally on a decode pool)
-    // must reconstruct a document whose serialization is stable.
+    // Read → re-write → re-read: the reader must reconstruct a document
+    // whose serialization is stable.
     ReadContext context;
-    if (spec.decode_threads > 0) {
-      context.EnableDeferredDecode(spec.decode_threads);
-    }
     std::unique_ptr<DataObject> parsed = ReadDocument(body, &context);
     if (parsed == nullptr) {
       ++result.read_failures;
@@ -99,9 +96,6 @@ MailCorpusResult RunMailCorpus(const MailCorpusSpec& spec) {
       ++result.clean_roundtrip_mismatches;
     }
     ReadContext recheck;
-    if (spec.decode_threads > 0) {
-      recheck.EnableDeferredDecode(spec.decode_threads);
-    }
     std::unique_ptr<DataObject> reread = ReadDocument(rewritten, &recheck);
     if (reread == nullptr) {
       ++result.read_failures;

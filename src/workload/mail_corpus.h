@@ -4,14 +4,13 @@
 // they were edited (§1 of the paper).  This scenario cycles a seeded corpus
 // of generated compound documents through the whole persistence pipeline —
 // write → (optional corruption + salvage) → read → re-write → re-read — so
-// one run stresses writer chunking, the zero-copy reader, parallel deferred
-// embedded-object decode, and the salvager together.  Clean messages must
-// round-trip byte-identically; corrupted ones must still parse after
-// salvage.  Surviving messages are delivered into a MailStore, holding the
+// one run stresses writer chunking, the zero-copy reader, embedded-object
+// decode, and the salvager together.  Clean messages must round-trip
+// byte-identically; corrupted ones must still parse after salvage.  Surviving messages are delivered into a MailStore, holding the
 // corpus to the 7-bit mailability contract.
 //
 // Determinism: the corpus digest is a pure function of the spec — the same
-// seed yields the same bytes whether decoded serially or on a worker pool.
+// seed always yields the same bytes.
 
 #ifndef ATK_SRC_WORKLOAD_MAIL_CORPUS_H_
 #define ATK_SRC_WORKLOAD_MAIL_CORPUS_H_
@@ -28,7 +27,6 @@ struct MailCorpusSpec {
   double embed_fraction = 0.5;    // Fraction embedding tables/drawings/rasters.
   double corrupt_fraction = 0.0;  // Fraction run through corrupt + salvage.
   int stream_faults = 2;          // Faults injected per corrupted message.
-  int decode_threads = 0;         // ReadContext workers; 0 = serial.
 };
 
 struct MailCorpusResult {

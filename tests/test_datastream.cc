@@ -328,29 +328,6 @@ TEST(Reader, IstreamConstructorReadsToEof) {
   EXPECT_FALSE(r.truncated());
 }
 
-TEST(Reader, EmbeddedSubReaderReportsDocumentOffsets) {
-  // A sub-reader over a captured object reports diagnostics in the
-  // enclosing document's coordinates.
-  std::string doc = "\\begindata{text,1}\n\\begindata{blob,2}\nx\\ y\\enddata{blob,2}\n\\enddata{text,1}\n";
-  DataStreamReader r(doc);
-  ASSERT_EQ(r.Next().kind, Kind::kBeginData);
-  DataStreamReader::Token child = r.Next();
-  ASSERT_EQ(child.kind, Kind::kBeginData);
-  DataStreamReader::RawCapture capture;
-  ASSERT_TRUE(r.SkipObject("blob", 2, &capture));
-  EXPECT_TRUE(capture.complete);
-  EXPECT_EQ(capture.offset, doc.find("x\\ y"));
-
-  DataStreamReader sub = DataStreamReader::ForEmbeddedObject(capture, "blob", 2);
-  DataStreamReader::Token t = sub.Next();
-  ASSERT_EQ(t.kind, Kind::kText);
-  EXPECT_EQ(t.text, "x\\ y");
-  EXPECT_EQ(sub.Next().kind, Kind::kEndData);
-  // The lone-backslash diagnostic points at the '\' in the whole document.
-  ASSERT_EQ(sub.diagnostics().size(), 1u);
-  EXPECT_EQ(sub.diagnostics()[0].offset, doc.find("\\ y"));
-}
-
 TEST(Reader, DeeplyNestedStreamsBalance) {
   std::ostringstream out;
   DataStreamWriter w(out);

@@ -6,28 +6,17 @@
 // — and must emit token-for-token identical streams, identical diagnostics,
 // and identical recovery flags.  This is what makes the rewrite safe: any
 // behavioural divergence, however obscure the input, fails here.
-//
-// The second half pins the parallel decode stage: a document decoded with 1
-// worker, 8 workers, or no workers at all must produce byte-identical
-// re-serializations and identical context errors (determinism is a merge-
-// order property, not a scheduling accident).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/apps/standard_modules.h"
-#include "src/base/data_object.h"
 #include "src/class_system/loader.h"
-#include "src/components/text/text_data.h"
 #include "src/datastream/baseline_reader.h"
 #include "src/datastream/reader.h"
-#include "src/observability/memory.h"
 #include "src/robustness/salvage.h"
 #include "src/workload/corruption.h"
-#include "src/workload/workload.h"
 
 namespace atk {
 namespace {
@@ -156,134 +145,6 @@ TEST_F(DatastreamDifferential, ZeroCopyInvariantOnWorkloadDocuments) {
     EXPECT_LT(reader.scratch_bytes(), full.size() / 4)
         << "seed " << seed << ": unescape arena copied too much";
   }
-}
-
-std::string SerializeCompound(uint64_t seed) {
-  WorkloadRng rng(seed);
-  CompoundDocumentSpec spec;
-  spec.paragraphs = 12;
-  spec.nesting_depth = 2;
-  spec.tables = 2;
-  spec.drawings = 2;
-  spec.equations = 1;
-  spec.rasters = 1;
-  std::unique_ptr<TextData> doc = GenerateCompoundDocument(rng, spec);
-  return WriteDocument(*doc);
-}
-
-TEST_F(DatastreamDifferential, ParallelDecodeIsDeterministic) {
-  // N=1 and N=8 workers must produce byte-identical documents — and both
-  // must match the serial (no worker pool) decode.  Runs under the sanitize
-  // label so TSan sees the worker pool with real contention.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::string serialized = SerializeCompound(seed);
-
-    ReadContext serial_ctx;
-    std::unique_ptr<DataObject> serial = ReadDocument(serialized, &serial_ctx);
-    ASSERT_NE(serial, nullptr) << "seed " << seed;
-    std::string serial_out = WriteDocument(*serial);
-
-    for (int workers : {1, 8}) {
-      ReadContext ctx;
-      ctx.EnableDeferredDecode(workers);
-      std::unique_ptr<DataObject> parallel = ReadDocument(serialized, &ctx);
-      ASSERT_NE(parallel, nullptr) << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(WriteDocument(*parallel), serial_out)
-          << "seed " << seed << " workers " << workers;
-      EXPECT_EQ(ctx.errors(), serial_ctx.errors())
-          << "seed " << seed << " workers " << workers;
-    }
-  }
-}
-
-TEST_F(DatastreamDifferential, ParallelDecodeSurvivesCorruptionWorkload) {
-  // Damaged embedded objects must fail identically whether decoded inline or
-  // on a worker: same document out, same error list.
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    CorruptionScenario scenario = RunCorruptionScenario(seed);
-
-    ReadContext serial_ctx;
-    std::unique_ptr<DataObject> serial =
-        ReadDocument(scenario.salvaged, &serial_ctx);
-    std::string serial_out = serial ? WriteDocument(*serial) : std::string();
-
-    ReadContext parallel_ctx;
-    parallel_ctx.EnableDeferredDecode(8);
-    std::unique_ptr<DataObject> parallel =
-        ReadDocument(scenario.salvaged, &parallel_ctx);
-    std::string parallel_out = parallel ? WriteDocument(*parallel) : std::string();
-
-    EXPECT_EQ(parallel_out, serial_out) << "seed " << seed;
-    // Serial decode interleaves a child's errors at its decode position;
-    // Phase B merges them after the root's own.  Same set, different order.
-    std::vector<std::string> serial_errors = serial_ctx.errors();
-    std::vector<std::string> parallel_errors = parallel_ctx.errors();
-    std::sort(serial_errors.begin(), serial_errors.end());
-    std::sort(parallel_errors.begin(), parallel_errors.end());
-    EXPECT_EQ(parallel_errors, serial_errors) << "seed " << seed;
-  }
-}
-
-TEST_F(DatastreamDifferential, OrphanedCaptureIsCopiedWhenOwnerDiesBeforeDrain) {
-  // A component can read an embedded child during Phase A and then discard
-  // it (a \cellobject whose \view reference was lost to damage).  The queued
-  // capture's views point into the decode's buffer, whose lifetime was tied
-  // to the dead owner — CancelDeferred must copy the bytes into the
-  // context's own arena so the Phase B throwaway decode never reads through
-  // a dangling view.  Regression: the buffer is scribbled after the owner
-  // dies; under the old borrow-only path the throwaway decode would parse
-  // the scribbles (and read freed memory for a heap buffer).
-  ReadContext ctx;
-  ctx.EnableDeferredDecode(2);
-
-  std::string transient = "captured child body\n\\enddata{text,7}\n";
-  {
-    std::unique_ptr<DataObject> victim =
-        ObjectCast<DataObject>(Loader::Instance().NewObject("text"));
-    ASSERT_NE(victim, nullptr);
-    DataStreamReader::RawCapture capture;
-    capture.with_end = transient;
-    capture.body = std::string_view(transient).substr(0, transient.find("\\enddata"));
-    capture.complete = true;
-    ctx.QueueDeferred(victim.get(), "text", 7, capture);
-    // `victim` dies here: ~DataObject routes through CancelDeferred.
-  }
-  std::fill(transient.begin(), transient.end(), 'X');
-
-  ctx.DrainDeferred();
-  EXPECT_TRUE(ctx.ok()) << (ctx.errors().empty() ? "" : ctx.errors().front());
-}
-
-TEST_F(DatastreamDifferential, OrphanedCaptureBytesReleaseWhenContextDies) {
-  // The orphan-copy arena CancelDeferred builds is charged to
-  // `datastream.mem.orphan` while the context holds it, and released when
-  // the context dies without draining — the leak-shaped path.  Regression:
-  // the arena used to be invisible to the accountant, so a pile-up of
-  // cancelled captures in a long-lived context could not be seen or
-  // budgeted.
-  observability::MemoryAccount& orphan =
-      observability::MemoryAccountant::Instance().account("datastream.mem.orphan");
-  const int64_t base = orphan.current();
-
-  std::string transient = "orphaned child body\n\\enddata{text,9}\n";
-  {
-    ReadContext ctx;
-    ctx.EnableDeferredDecode(2);
-    {
-      std::unique_ptr<DataObject> victim =
-          ObjectCast<DataObject>(Loader::Instance().NewObject("text"));
-      ASSERT_NE(victim, nullptr);
-      DataStreamReader::RawCapture capture;
-      capture.with_end = transient;
-      capture.body = std::string_view(transient).substr(0, transient.find("\\enddata"));
-      capture.complete = true;
-      ctx.QueueDeferred(victim.get(), "text", 9, capture);
-      // CancelDeferred copies the capture into the context's orphan arena...
-    }
-    EXPECT_GE(orphan.current(), base + static_cast<int64_t>(transient.size()));
-    // ...and the undrained context dying must hand every byte back.
-  }
-  EXPECT_EQ(orphan.current(), base);
 }
 
 }  // namespace

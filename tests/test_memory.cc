@@ -411,6 +411,46 @@ TEST(Memory, AccountantAgreesWithAllocatorOracle) {
   EXPECT_EQ(accountant.total(), accountant_before);
 }
 
+TEST(Memory, NestedTextReadReservesOnlyAtTheOutermostObject) {
+  // Regression: TextData::ReadBody reserved the rest of the *whole* input
+  // for every text it decoded, nested ones included, so a document with N
+  // embedded texts left ~N/2 document sizes of gap-buffer capacity live.
+  // Only the outermost text may reserve; the gap buffers of a decoded
+  // compound document then stay within a small multiple of its bytes.
+  RegisterStandardModules();
+  Loader::Instance().Require("text");
+  Loader::Instance().Require("table");
+  Loader::Instance().Require("drawing");
+  Loader::Instance().Require("equation");
+  constexpr int kEmbeddedTexts = 256;
+  WorkloadRng rng(4096);
+  std::string serialized;
+  {
+    std::unique_ptr<TextData> doc = GenerateCompoundDocument(rng, CompoundDocumentSpec{});
+    for (int i = 0; i < kEmbeddedTexts; ++i) {
+      auto child = std::make_unique<TextData>();
+      child->SetText(GenerateProse(rng, 12));
+      doc->InsertObject(static_cast<int64_t>(rng.Below(static_cast<uint64_t>(doc->size() + 1))),
+                        std::move(child));
+    }
+    serialized = WriteDocument(*doc);
+  }
+
+  MemoryAccount& gapbuffer = MemoryAccountant::Instance().account("text.mem.gapbuffer");
+  const int64_t before = gapbuffer.current();
+  ReadContext ctx;
+  std::unique_ptr<DataObject> decoded = ReadDocument(serialized, &ctx);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(ctx.ok()) << ctx.errors().front();
+  EXPECT_EQ(WriteDocument(*decoded), serialized);
+
+  const int64_t added = gapbuffer.current() - before;
+  const int64_t doc_bytes = static_cast<int64_t>(serialized.size());
+  EXPECT_LE(added, 4 * doc_bytes) << added << " gap-buffer bytes live for a " << doc_bytes
+                                  << "-byte document with " << kEmbeddedTexts
+                                  << " embedded texts";
+}
+
 TEST(Memory, ConcurrentChargeReleaseProber) {
   // TSan bait: four charging threads against one account while a prober
   // thread snapshots, runs the census, and renders text.  The invariant is

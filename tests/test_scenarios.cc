@@ -2,11 +2,10 @@
 // streaming, the mail corpus, and deterministic collaborative replay.
 //
 // The determinism contract under test: every scenario is a pure function of
-// its spec.  Same seed ⇒ byte-identical final documents — on one decode
-// thread or eight, over a clean transport or a faulted one.  The ctest
-// entries re-run this binary with ATK_DS_THREADS=8 and with ATK_NET_FAULTS
-// exported, so the digests asserted here are pinned across all three
-// configurations by the same assertions.
+// its spec.  Same seed ⇒ byte-identical final documents, over a clean
+// transport or a faulted one.  A ctest entry re-runs the replay tests with
+// ATK_NET_FAULTS exported, so the digests asserted here are pinned across
+// both configurations by the same assertions.
 
 #include <gtest/gtest.h>
 
@@ -115,21 +114,6 @@ TEST(MailCorpus, CleanCorpusRoundTripsByteIdentically) {
   EXPECT_EQ(result.read_failures, 0);
   EXPECT_EQ(result.delivered, 24) << "every surviving body must be 7-bit mailable";
   EXPECT_EQ(result.corpus_digest, RunMailCorpus(spec).corpus_digest);
-}
-
-TEST(MailCorpus, DecodeThreadCountDoesNotChangeBytes) {
-  MailCorpusSpec spec;
-  spec.seed = 33;
-  spec.messages = 16;
-  spec.embed_fraction = 0.8;  // Embedded objects are what the pool decodes.
-  spec.corrupt_fraction = 0.25;
-  MailCorpusResult serial = RunMailCorpus(spec);
-  spec.decode_threads = 8;
-  MailCorpusResult threaded = RunMailCorpus(spec);
-  EXPECT_EQ(serial.corpus_digest, threaded.corpus_digest)
-      << "parallel deferred decode must be byte-identical to serial";
-  EXPECT_EQ(serial.read_failures, 0);
-  EXPECT_EQ(threaded.read_failures, 0);
 }
 
 TEST(MailCorpus, CorruptedMessagesSurviveThroughSalvage) {
