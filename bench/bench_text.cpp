@@ -89,6 +89,46 @@ void BM_TypingIntoViewByDocSize(benchmark::State& state) {
 }
 BENCHMARK(BM_TypingIntoViewByDocSize)->Arg(50)->Arg(500)->Arg(5000)->Arg(20000);
 
+// Typing into a styled compound document (headings, bold/italic runs,
+// embedded tables and drawings), which BM_TypingIntoViewByDocSize's plain
+// prose cannot show: layout resolves a style run for every laid-out
+// character and repaints several fonts.
+void BM_TypingIntoStyledDoc(benchmark::State& state) {
+  Setup();
+  std::unique_ptr<WindowSystem> ws = WindowSystem::Open("itc");
+  auto im = InteractionManager::Create(*ws, 640, 480, "styled");
+  WorkloadRng rng(7);
+  CompoundDocumentSpec spec;
+  spec.paragraphs = 500;
+  spec.tables = 3;
+  spec.drawings = 3;
+  spec.equations = 0;
+  std::unique_ptr<TextData> doc = GenerateCompoundDocument(rng, spec);
+  TextView view;
+  view.SetText(doc.get());
+  im->SetChild(&view);
+  im->SetInputFocus(&view);
+  im->RunOnce();
+  // Caret mid-document with its paragraph scrolled to the top of the view,
+  // as after a jump; typing words and spaces re-wraps that paragraph like
+  // prose however many iterations run.
+  const std::string_view keys = "the quick brown fox jumps over the lazy dog ";
+  size_t index = 0;
+  const int64_t caret = doc->size() / 2;
+  view.ScrollToUnit(doc->LineOfPos(caret));
+  view.SetDot(caret);
+  im->RunOnce();
+  for (auto _ : state) {
+    im->ProcessEvent(InputEvent::KeyPress(keys[index++ % keys.size()]));
+    im->RunOnce();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["doc_chars"] = static_cast<double>(doc->size());
+  state.counters["style_runs"] = static_cast<double>(doc->style_runs().size());
+  view.SetText(nullptr);
+}
+BENCHMARK(BM_TypingIntoStyledDoc);
+
 void BM_LayoutOnlyByDocSize(benchmark::State& state) {
   Setup();
   std::unique_ptr<WindowSystem> ws = WindowSystem::Open("itc");

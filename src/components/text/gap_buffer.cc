@@ -4,6 +4,20 @@
 #include <cstring>
 
 namespace atk {
+namespace {
+
+// Offset of the first / last `ch` in `piece`, or -1.
+int64_t FirstIn(std::string_view piece, char ch) {
+  const void* hit = piece.empty() ? nullptr : std::memchr(piece.data(), ch, piece.size());
+  return hit == nullptr ? -1 : static_cast<const char*>(hit) - piece.data();
+}
+
+int64_t LastIn(std::string_view piece, char ch) {
+  const void* hit = piece.empty() ? nullptr : memrchr(piece.data(), ch, piece.size());
+  return hit == nullptr ? -1 : static_cast<const char*>(hit) - piece.data();
+}
+
+}  // namespace
 
 observability::MemoryAccount& GapBufferMemAccount() {
   static observability::MemoryAccount& account =
@@ -16,12 +30,11 @@ void GapBuffer::MoveGapTo(size_t pos) {
     return;
   }
   size_t gap_len = gap_end_ - gap_start_;
+  char* data = buffer_.data();
   if (pos < gap_start_) {
-    size_t count = gap_start_ - pos;
-    std::memmove(&buffer_[pos + gap_len], &buffer_[pos], count);
+    std::memmove(data + pos + gap_len, data + pos, gap_start_ - pos);
   } else {
-    size_t count = pos - gap_start_;
-    std::memmove(&buffer_[gap_start_], &buffer_[gap_end_], count);
+    std::memmove(data + gap_start_, data + gap_end_, pos - gap_start_);
   }
   gap_start_ = pos;
   gap_end_ = pos + gap_len;
@@ -36,7 +49,9 @@ void GapBuffer::GrowGap(size_t needed) {
   size_t new_size = std::max(old_size * 2, old_size + needed);
   size_t tail_len = old_size - gap_end_;
   buffer_.resize(new_size);
-  std::memmove(&buffer_[new_size - tail_len], &buffer_[gap_end_], tail_len);
+  // Offsets, not buffer_[i]: with the gap at the end, new_size - tail_len is
+  // one past the last element.
+  std::memmove(buffer_.data() + new_size - tail_len, buffer_.data() + gap_end_, tail_len);
   gap_end_ = new_size - tail_len;
   SyncMem();
 }
@@ -49,7 +64,7 @@ void GapBuffer::Insert(int64_t pos, std::string_view text) {
   }
   GrowGap(text.size());
   MoveGapTo(static_cast<size_t>(pos));
-  std::memcpy(&buffer_[gap_start_], text.data(), text.size());
+  std::memcpy(buffer_.data() + gap_start_, text.data(), text.size());
   gap_start_ += text.size();
 }
 
@@ -62,45 +77,53 @@ void GapBuffer::Delete(int64_t pos, int64_t len) {
   gap_end_ += static_cast<size_t>(len);
 }
 
-std::string GapBuffer::Substr(int64_t pos, int64_t len) const {
-  if (pos < 0 || len <= 0 || pos >= size()) {
-    return "";
+std::pair<std::string_view, std::string_view> GapBuffer::Pieces(int64_t pos,
+                                                               int64_t len) const {
+  if (pos < 0 || pos > size() || len <= 0) {
+    return {};
   }
   len = std::min(len, size() - pos);
-  // At most two memcpys: the part left of the gap and the part right of it.
+  size_t begin = static_cast<size_t>(pos);
+  size_t end = begin + static_cast<size_t>(len);
+  const char* data = buffer_.data();
+  std::string_view before;
+  std::string_view after;
+  if (begin < gap_start_) {
+    before = std::string_view(data + begin, std::min(end, gap_start_) - begin);
+  }
+  if (end > gap_start_) {
+    size_t from = std::max(begin, gap_start_);
+    after = std::string_view(data + from + (gap_end_ - gap_start_), end - from);
+  }
+  return {before, after};
+}
+
+std::string GapBuffer::Substr(int64_t pos, int64_t len) const {
+  auto [before, after] = Pieces(pos, len);
   std::string out;
-  out.resize(static_cast<size_t>(len));
-  size_t p = static_cast<size_t>(pos);
-  size_t n = static_cast<size_t>(len);
-  size_t written = 0;
-  if (p < gap_start_) {
-    size_t take = std::min(gap_start_ - p, n);
-    std::memcpy(out.data(), &buffer_[p], take);
-    written = take;
-    p += take;
-  }
-  if (written < n) {
-    std::memcpy(out.data() + written, &buffer_[p + (gap_end_ - gap_start_)], n - written);
-  }
+  out.reserve(before.size() + after.size());
+  out.append(before).append(after);
   return out;
 }
 
 int64_t GapBuffer::Find(char ch, int64_t pos) const {
-  for (int64_t i = std::max<int64_t>(pos, 0); i < size(); ++i) {
-    if (At(i) == ch) {
-      return i;
-    }
+  pos = std::max<int64_t>(pos, 0);
+  auto [before, after] = Pieces(pos, size() - pos);
+  if (int64_t hit = FirstIn(before, ch); hit >= 0) {
+    return pos + hit;
+  }
+  if (int64_t hit = FirstIn(after, ch); hit >= 0) {
+    return pos + static_cast<int64_t>(before.size()) + hit;
   }
   return -1;
 }
 
 int64_t GapBuffer::RFind(char ch, int64_t pos) const {
-  for (int64_t i = std::min(pos, size()) - 1; i >= 0; --i) {
-    if (At(i) == ch) {
-      return i;
-    }
+  auto [before, after] = Pieces(0, pos);
+  if (int64_t hit = LastIn(after, ch); hit >= 0) {
+    return static_cast<int64_t>(before.size()) + hit;
   }
-  return -1;
+  return LastIn(before, ch);
 }
 
 }  // namespace atk

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/observability/memory.h"
@@ -56,6 +57,12 @@ class GapBuffer {
   // Insert at the end: after the first call the gap stays at the end, so a
   // streamed document body appends with one memcpy per fragment.
   void Append(std::string_view text) { Insert(size(), text); }
+
+  // The bytes of [pos, pos + len) in place: the part before the gap, then
+  // the part after it; either may be empty.  `len` is clamped to the
+  // content; a `pos` outside [0, size()] gives two empty views.  Any edit
+  // invalidates both.
+  std::pair<std::string_view, std::string_view> Pieces(int64_t pos, int64_t len) const;
 
   std::string Substr(int64_t pos, int64_t len) const;
   std::string All() const { return Substr(0, size()); }

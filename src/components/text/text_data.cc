@@ -31,6 +31,13 @@ static int64_t CountNewlines(std::string_view text) {
   return count;
 }
 
+// Newlines in [pos, pos + len) of `buffer`, counted in place on both sides of
+// the gap.
+static int64_t CountNewlines(const GapBuffer& buffer, int64_t pos, int64_t len) {
+  auto [before, after] = buffer.Pieces(pos, len);
+  return CountNewlines(before) + CountNewlines(after);
+}
+
 void TextData::InsertString(int64_t pos, std::string_view text) {
   if (pos < 0 || pos > size() || text.empty()) {
     return;
@@ -50,7 +57,7 @@ void TextData::DeleteRange(int64_t pos, int64_t len) {
     return;
   }
   len = std::min(len, size() - pos);
-  newline_count_ -= CountNewlines(buffer_.Substr(pos, len));
+  newline_count_ -= CountNewlines(buffer_, pos, len);
   buffer_.Delete(pos, len);
   AdjustForDelete(pos, len);
   Change change;
@@ -68,6 +75,7 @@ void TextData::SetText(std::string_view text) {
     buffer_.Delete(0, size());
     embedded_.clear();
     runs_.clear();
+    IndexRuns();
   }
   buffer_.Insert(0, text);
   newline_count_ = CountNewlines(text);
@@ -129,6 +137,7 @@ void TextData::AdjustForInsert(int64_t pos, int64_t len) {
       run.len += len;  // Typing inside a styled run keeps the style.
     }
   }
+  IndexRuns();
 }
 
 void TextData::AdjustForDelete(int64_t pos, int64_t len) {
@@ -170,6 +179,16 @@ void TextData::NormalizeRuns() {
     }
   }
   runs_ = std::move(merged);
+  IndexRuns();
+}
+
+void TextData::IndexRuns() {
+  run_end_max_.resize(runs_.size());
+  int64_t end_max = 0;
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    end_max = std::max(end_max, runs_[i].pos + runs_[i].len);
+    run_end_max_[i] = end_max;
+  }
 }
 
 void TextData::ApplyStyle(int64_t pos, int64_t len, std::string_view style_name) {
@@ -210,8 +229,14 @@ void TextData::ApplyStyle(int64_t pos, int64_t len, std::string_view style_name)
 void TextData::ClearStyles(int64_t pos, int64_t len) { ApplyStyle(pos, len, "default"); }
 
 const std::string& TextData::StyleNameAt(int64_t pos) const {
-  for (const StyleRun& run : runs_) {
-    if (pos >= run.pos && pos < run.pos + run.len) {
+  // Every run before the first whose end-prefix-max passes `pos` ends at or
+  // before `pos`.  That run is the first one ending after `pos`, so it is the
+  // first containing `pos` if it starts by `pos`; otherwise no run does,
+  // since all later runs start after it.
+  auto it = std::upper_bound(run_end_max_.begin(), run_end_max_.end(), pos);
+  if (it != run_end_max_.end()) {
+    const StyleRun& run = runs_[static_cast<size_t>(it - run_end_max_.begin())];
+    if (run.pos <= pos) {
       return run.style;
     }
   }
@@ -248,14 +273,7 @@ int64_t TextData::PosOfLine(int64_t index) const {
 }
 
 int64_t TextData::LineOfPos(int64_t pos) const {
-  pos = std::clamp<int64_t>(pos, 0, size());
-  int64_t line = 0;
-  for (int64_t i = 0; i < pos; ++i) {
-    if (buffer_.At(i) == '\n') {
-      ++line;
-    }
-  }
-  return line;
+  return CountNewlines(buffer_, 0, std::clamp<int64_t>(pos, 0, size()));
 }
 
 void TextData::WriteBody(DataStreamWriter& writer) const {
@@ -303,6 +321,7 @@ bool TextData::ReadBody(DataStreamReader& reader, ReadContext& context) {
   buffer_.Delete(0, size());
   embedded_.clear();
   runs_.clear();
+  IndexRuns();
   newline_count_ = 0;
   // Bulk ingestion: the body is at most the rest of the reader's input, so
   // one reservation up front makes the kText inserts gap-growth-free.  Only

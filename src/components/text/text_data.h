@@ -87,7 +87,9 @@ class TextData : public DataObject {
   void ApplyStyle(int64_t pos, int64_t len, std::string_view style_name);
   // Removes all styling from the range (reverts to "default").
   void ClearStyles(int64_t pos, int64_t len);
-  // The style governing the character at `pos`.
+  // The style governing the character at `pos`: that of the first run in
+  // style_runs() order containing it (runs read from a document may
+  // overlap), or "default".  O(log runs).
   const Style& StyleAt(int64_t pos) const;
   const std::string& StyleNameAt(int64_t pos) const;
   const std::vector<StyleRun>& style_runs() const { return runs_; }
@@ -110,11 +112,18 @@ class TextData : public DataObject {
   void AdjustForInsert(int64_t pos, int64_t len);
   void AdjustForDelete(int64_t pos, int64_t len);
   void NormalizeRuns();
+  // Rebuilds run_end_max_; called wherever runs_ changes.
+  void IndexRuns();
 
   GapBuffer buffer_;
   std::vector<EmbeddedObject> embedded_;  // Sorted by pos.
   uint64_t next_anchor_id_ = 1;
-  std::vector<StyleRun> runs_;            // Sorted by pos, non-overlapping.
+  // Sorted by pos.  Edits keep runs disjoint, but \textstyle runs read from
+  // a document are not validated and may overlap.
+  std::vector<StyleRun> runs_;
+  // run_end_max_[i] is the largest pos + len among runs_[0..i]: the
+  // non-decreasing key StyleNameAt binary-searches.
+  std::vector<int64_t> run_end_max_;
   StyleSheet styles_;
   int64_t newline_count_ = 0;
   std::string default_style_name_ = "default";

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace atk {
 
@@ -52,14 +53,62 @@ Font::Font(const FontSpec& spec) : spec_(spec) {
   if (scale_ < 1) {
     scale_ = 1;
   }
+  BuildSpans();
 }
 
+void Font::BuildSpans() {
+  // GlyphBit depends on y only through the master row y / scale_, so each
+  // band of scale_ device rows has the same ink: sample the band's first
+  // row and emit one span per inked run of columns, covering the band.
+  for (int slot = 0; slot < kGlyphSlots; ++slot) {
+    slot_begin_[static_cast<size_t>(slot)] = static_cast<uint32_t>(spans_.size());
+    // The last slot's representative is any non-printable code: all of them
+    // draw the box glyph.
+    char ch = slot < kGlyphSlots - 1 ? static_cast<char>(' ' + slot) : '\0';
+    for (int y = 0; y < ascent(); y += scale_) {
+      int x = 0;
+      while (x < advance()) {
+        if (!GlyphBit(ch, x, y)) {
+          ++x;
+          continue;
+        }
+        int x0 = x;
+        while (x < advance() && GlyphBit(ch, x, y)) {
+          ++x;
+        }
+        spans_.push_back(GlyphSpan{y, scale_, x0, x});
+      }
+    }
+  }
+  slot_begin_[kGlyphSlots] = static_cast<uint32_t>(spans_.size());
+  spans_.shrink_to_fit();
+}
+
+std::span<const GlyphSpan> Font::GlyphSpans(char ch) const {
+  int code = static_cast<unsigned char>(ch);
+  // Printable codes have a slot each; every other code shares the box.
+  size_t slot = code >= ' ' && code <= '~' ? static_cast<size_t>(code - ' ') : kGlyphSlots - 1;
+  return std::span<const GlyphSpan>(spans_.data() + slot_begin_[slot],
+                                    spans_.data() + slot_begin_[slot + 1]);
+}
+
+namespace {
+
+// Orders specs field by field, so an interning lookup compares a few
+// integers and at most one family name and builds no string.
+struct FontSpecLess {
+  bool operator()(const FontSpec& a, const FontSpec& b) const {
+    return std::tie(a.size, a.style, a.family) < std::tie(b.size, b.style, b.family);
+  }
+};
+
+}  // namespace
+
 const Font& Font::Get(const FontSpec& spec) {
-  static std::map<std::string, const Font*>* cache = new std::map<std::string, const Font*>();
-  std::string key = spec.ToString();
-  auto it = cache->find(key);
-  if (it == cache->end()) {
-    it = cache->emplace(key, new Font(spec)).first;
+  static auto* fonts = new std::map<FontSpec, const Font*, FontSpecLess>();
+  auto it = fonts->find(spec);
+  if (it == fonts->end()) {
+    it = fonts->emplace(spec, new Font(spec)).first;
   }
   return *it->second;
 }

@@ -12,8 +12,10 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace atk {
 
@@ -49,8 +51,18 @@ struct Glyph {
   }
 };
 
-// A concrete, sized font.  Instances are interned: Get() returns a reference
-// valid for the process lifetime.
+// A block of inked pixels in a glyph cell: rows [y, y + rows), columns
+// [x0, x1).  A glyph's spans come in row-major order and never overlap; the
+// spans of one band of rows all share the same y and rows.
+struct GlyphSpan {
+  int32_t y;
+  int32_t rows;
+  int32_t x0;
+  int32_t x1;
+};
+
+// A concrete, sized font.  Instances are interned by FontSpec: Get() returns
+// a reference valid for the process lifetime.
 class Font {
  public:
   static const Font& Get(const FontSpec& spec);
@@ -77,6 +89,11 @@ class Font {
   // strike, italic shear) is already applied.
   bool GlyphBit(char ch, int x, int y) const;
 
+  // The inked pixels of `ch`'s cell within [0, advance()) x [0, ascent()) —
+  // exactly the ones GlyphBit reports — as spans.  Precomputed per font, so
+  // drawing a glyph costs one fill per span instead of one test per pixel.
+  std::span<const GlyphSpan> GlyphSpans(char ch) const;
+
   // Index of the first character cell at or after pixel `px` (hit-testing).
   int CharIndexAt(int px) const {
     if (px < 0) {
@@ -86,10 +103,18 @@ class Font {
   }
 
  private:
+  // One slot per printable character 32..126, plus the box glyph shared by
+  // every other code.
+  static constexpr int kGlyphSlots = 96;
+
   explicit Font(const FontSpec& spec);
+  void BuildSpans();
 
   FontSpec spec_;
   int scale_ = 1;
+  // Slot i's spans are spans_[slot_begin_[i], slot_begin_[i + 1]).
+  std::vector<GlyphSpan> spans_;
+  std::array<uint32_t, kGlyphSlots + 1> slot_begin_{};
 };
 
 // Access to the master glyph table (font_data.cc).

@@ -278,15 +278,41 @@ void Graphic::FillPolygon(std::span<const Point> points) {
 void Graphic::DrawString(Point top_left, std::string_view text) {
   CountOp();
   const Font& f = *font_;
-  int cell_w = f.advance();
-  int cell_h = f.ascent();  // Glyph rows live in the ascent band.
-  int x = top_left.x;
+  const int cell_w = f.advance();
+  int x = top_left.x;  // Left edge of the current cell, local coordinates.
   for (char ch : text) {
-    for (int gy = 0; gy < cell_h; ++gy) {
-      for (int gx = 0; gx < cell_w; ++gx) {
-        if (f.GlyphBit(ch, gx, gy)) {
-          Plot(x + gx, top_left.y + gy, foreground_);
+    // Glyph ink lives in the ascent band; a cell outside the clip has none.
+    Rect cell = Rect{x, top_left.y, cell_w, f.ascent()}.Translated(device_bounds_.x,
+                                                                     device_bounds_.y);
+    if (!cell.Intersects(device_clip_)) {
+      x += cell_w;
+      continue;
+    }
+    std::span<const GlyphSpan> spans = f.GlyphSpans(ch);
+    if (transfer_mode_ == TransferMode::kCopy) {
+      for (const GlyphSpan& s : spans) {
+        Rect device =
+            Rect{cell.x + s.x0, cell.y + s.y, s.x1 - s.x0, s.rows}.Intersect(device_clip_);
+        if (!device.IsEmpty()) {
+          DeviceFillRect(device, foreground_);
         }
+      }
+    } else {
+      // Read-modify-write modes plot pixel by pixel in row-major order: row
+      // by row through each band of spans that share a y.
+      for (size_t band = 0; band < spans.size();) {
+        size_t band_end = band;
+        while (band_end < spans.size() && spans[band_end].y == spans[band].y) {
+          ++band_end;
+        }
+        for (int y = spans[band].y; y < spans[band].y + spans[band].rows; ++y) {
+          for (size_t k = band; k < band_end; ++k) {
+            for (int gx = spans[k].x0; gx < spans[k].x1; ++gx) {
+              Plot(x + gx, top_left.y + y, foreground_);
+            }
+          }
+        }
+        band = band_end;
       }
     }
     x += cell_w;

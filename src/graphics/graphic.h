@@ -119,8 +119,9 @@ class Graphic : public Object {
   virtual void DevicePlot(int x, int y, Color c) = 0;
   // Reads one device pixel (for Xor/Invert modes).
   virtual Color DeviceRead(int x, int y) const = 0;
-  // Fast path for solid rectangles; `device_rect` is clipped already and the
-  // transfer mode is kCopy.  Default loops DevicePlot.
+  // Fast path for solid rectangles (fills, and the glyph spans DrawString
+  // blits); `device_rect` is clipped already and the transfer mode is kCopy.
+  // Default loops DevicePlot.
   virtual void DeviceFillRect(const Rect& device_rect, Color c);
 
   // Initializes geometry; for use by backend constructors.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/graphics/font.h"
@@ -543,6 +544,95 @@ TEST_F(GraphicTest, DrawStringInksGlyphs) {
   EXPECT_GT(ink, 8);
   // Nothing outside the cells.
   EXPECT_EQ(image_.GetPixel(2 + 13, 5), kWhite);
+}
+
+// DrawString blits precomputed glyph spans; a GlyphBit + DrawPoint loop over
+// every cell pixel is the reference.  All 256 codes (the box glyph stands in
+// for every non-printable one), every size band, style and transfer mode,
+// over a patterned page so the read-modify-write modes have something to
+// combine with, with and without a clip, from negative and odd origins.
+class DrawStringExactness : public ::testing::Test {
+ protected:
+  static constexpr int kCharsPerLine = 32;
+
+  static void PaintPattern(PixelImage& image) {
+    for (int y = 0; y < image.height(); ++y) {
+      for (int x = 0; x < image.width(); ++x) {
+        image.SetPixel(x, y, Color{static_cast<uint8_t>(x * 7 + y), static_cast<uint8_t>(y * 5),
+                                   static_cast<uint8_t>((x ^ y) * 3)});
+      }
+    }
+  }
+
+  // Draws the 256 codes, kCharsPerLine to a line, into a fresh patterned
+  // page and returns its hash.  `reference` plots GlyphBit pixel by pixel.
+  static uint64_t Render(const FontSpec& spec, TransferMode mode, bool clipped, Point origin,
+                         bool reference) {
+    const Font& font = Font::Get(spec);
+    PixelImage image(kCharsPerLine * font.advance() + 24, 8 * font.height() + 24);
+    PaintPattern(image);
+    // A device origin away from (0, 0) so local and device coordinates differ.
+    ImageGraphic graphic(&image, Rect{5, 3, image.width() - 5, image.height() - 3});
+    if (clipped) {
+      graphic.PushClip(Rect{13, 9, image.width() / 2 + 1, image.height() / 2 - 3});
+    }
+    graphic.SetFont(spec);
+    graphic.SetForeground(Color{200, 40, 120});
+    graphic.SetTransferMode(mode);
+    for (int line = 0; line < 8; ++line) {
+      std::string text;
+      for (int i = 0; i < kCharsPerLine; ++i) {
+        text.push_back(static_cast<char>(line * kCharsPerLine + i));
+      }
+      Point top_left{origin.x, origin.y + line * font.height()};
+      if (!reference) {
+        graphic.DrawString(top_left, text);
+        continue;
+      }
+      for (int i = 0; i < kCharsPerLine; ++i) {
+        for (int gy = 0; gy < font.ascent(); ++gy) {
+          for (int gx = 0; gx < font.advance(); ++gx) {
+            if (font.GlyphBit(text[static_cast<size_t>(i)], gx, gy)) {
+              graphic.DrawPoint(Point{top_left.x + i * font.advance() + gx, top_left.y + gy});
+            }
+          }
+        }
+      }
+    }
+    return image.Hash();
+  }
+};
+
+TEST_F(DrawStringExactness, SpansMatchPerPixelGlyphBits) {
+  const TransferMode modes[] = {TransferMode::kCopy, TransferMode::kOr, TransferMode::kXor,
+                                TransferMode::kInvert};
+  const Point origins[] = {Point{-7, -3}, Point{3, 5}};
+  for (int size : {10, 14, 20, 24, 36}) {
+    for (unsigned style : {unsigned{kPlain}, unsigned{kBold}, unsigned{kItalic},
+                           unsigned{kBold} | unsigned{kItalic}}) {
+      for (TransferMode mode : modes) {
+        for (bool clipped : {false, true}) {
+          for (Point origin : origins) {
+            FontSpec spec{"andy", size, style};
+            SCOPED_TRACE(spec.ToString() + " mode " + std::to_string(static_cast<int>(mode)) +
+                         (clipped ? " clipped" : " unclipped") + " origin " +
+                         std::to_string(origin.x) + "," + std::to_string(origin.y));
+            EXPECT_EQ(Render(spec, mode, clipped, origin, false),
+                      Render(spec, mode, clipped, origin, true));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Font, GetInternsBySpec) {
+  const Font& a = Font::Get(FontSpec{"andy", 12, kBold});
+  EXPECT_EQ(&a, &Font::Get(FontSpec::Parse("andy12b")));
+  EXPECT_EQ(a.spec(), (FontSpec{"andy", 12, kBold}));
+  EXPECT_NE(&a, &Font::Get(FontSpec{"andy", 12, kPlain}));
+  EXPECT_NE(&a, &Font::Get(FontSpec{"andy", 14, kBold}));
+  EXPECT_NE(&a, &Font::Get(FontSpec{"times", 12, kBold}));
 }
 
 TEST_F(GraphicTest, OpCountTallies) {

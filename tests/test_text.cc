@@ -101,6 +101,48 @@ TEST(GapBuffer, MatchesReferenceStringUnderRandomOps) {
   EXPECT_EQ(buffer.size(), static_cast<int64_t>(reference.size()));
 }
 
+// Appending with the gap already at the end leaves no tail to move when the
+// buffer grows; the move's destination is then one past the last element.
+TEST(GapBuffer, AppendsPastCapacityWithTheGapAtTheEnd) {
+  GapBuffer buffer;
+  std::string reference;
+  size_t grows = 0;
+  for (int i = 0; i < 200; ++i) {
+    size_t capacity = buffer.capacity();
+    std::string chunk(7, static_cast<char>('a' + i % 26));
+    buffer.Append(chunk);
+    reference += chunk;
+    ASSERT_EQ(buffer.gap_position(), buffer.size());
+    grows += buffer.capacity() > capacity ? 1 : 0;
+  }
+  EXPECT_GE(grows, 4u);
+  EXPECT_EQ(buffer.All(), reference);
+}
+
+// Find/RFind search the two halves around the gap; they must agree with
+// std::string wherever the gap sits, including at either end of a hit.
+TEST(GapBuffer, FindAndRFindMatchStringWhereverTheGapSits) {
+  const std::string text = "\nab\n\ncd\nefgh\n\nij\n";
+  for (size_t gap = 0; gap <= text.size(); ++gap) {
+    GapBuffer buffer;
+    buffer.Insert(0, text);
+    buffer.Insert(static_cast<int64_t>(gap), "#");
+    buffer.Delete(static_cast<int64_t>(gap), 1);  // Leaves the gap at `gap`.
+    ASSERT_EQ(buffer.gap_position(), static_cast<int64_t>(gap));
+    for (int64_t pos = -1; pos <= static_cast<int64_t>(text.size()) + 1; ++pos) {
+      size_t from = static_cast<size_t>(std::max<int64_t>(pos, 0));
+      size_t found = text.find('\n', from);
+      EXPECT_EQ(buffer.Find('\n', pos), found == std::string::npos ? -1 : int64_t(found))
+          << "gap " << gap << " pos " << pos;
+      int64_t before = std::min<int64_t>(pos, static_cast<int64_t>(text.size()));
+      size_t rfound = before <= 0 ? std::string::npos
+                                  : text.rfind('\n', static_cast<size_t>(before - 1));
+      EXPECT_EQ(buffer.RFind('\n', pos), rfound == std::string::npos ? -1 : int64_t(rfound))
+          << "gap " << gap << " pos " << pos;
+    }
+  }
+}
+
 // ---- TextData ----------------------------------------------------------------
 
 class TextDataTest : public ::testing::Test {
@@ -253,6 +295,115 @@ TEST_F(TextDataTest, CustomStyleDefinitionsPersist) {
   EXPECT_EQ(restored.indent_left, 12);
   EXPECT_EQ(restored.justify, Justification::kCenter);
   EXPECT_EQ(back->StyleNameAt(0), "fancy");
+}
+
+// The style at `pos` by definition: the first run in style_runs() order
+// that contains it.
+std::string LinearStyleNameAt(const TextData& text, int64_t pos) {
+  for (const TextData::StyleRun& run : text.style_runs()) {
+    if (pos >= run.pos && pos < run.pos + run.len) {
+      return run.style;
+    }
+  }
+  return "default";
+}
+
+void ExpectStyleNamesMatchLinearScan(const TextData& text) {
+  for (int64_t pos = -1; pos <= text.size() + 1; ++pos) {
+    ASSERT_EQ(text.StyleNameAt(pos), LinearStyleNameAt(text, pos)) << "pos " << pos;
+  }
+}
+
+// Seeded random edits, checking every position after each one.
+void RandomStyledEdits(TextData& text, uint64_t seed, int steps) {
+  const char* const styles[] = {"bold", "italic", "heading", "default"};
+  auto next = [&seed]() {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    return seed;
+  };
+  for (int step = 0; step < steps; ++step) {
+    int64_t size = text.size();
+    int64_t pos = static_cast<int64_t>(next() % static_cast<uint64_t>(size + 1));
+    int64_t len = 1 + static_cast<int64_t>(next() % 12);
+    switch (next() % 3) {
+      case 0:
+        text.ApplyStyle(pos, len, styles[next() % 4]);
+        break;
+      case 1:
+        text.InsertString(pos, std::string(static_cast<size_t>(len), 'x'));
+        break;
+      default:
+        text.DeleteRange(pos, len);
+        break;
+    }
+    ExpectStyleNamesMatchLinearScan(text);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST_F(TextDataTest, StyleNameAtMatchesLinearScanUnderRandomEdits) {
+  for (uint64_t seed : {3u, 17u, 99u}) {
+    TextData text;
+    text.SetText(std::string(120, 'a'));
+    RandomStyledEdits(text, seed, 400);
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+  }
+}
+
+// \textstyle runs read from a document are not validated: they may nest,
+// overlap and share start positions.  The first run in order still wins.
+TEST_F(TextDataTest, StyleNameAtMatchesLinearScanOnOverlappingDocumentRuns) {
+  const std::string doc =
+      "\\begindata{text,1}\n"
+      "\\textstyle{bold,0,30}\n"
+      "\\textstyle{italic,4,3}\n"
+      "\\textstyle{heading,4,40}\n"
+      "\\textstyle{subheading,10,2}\n"
+      "\\textstyle{italic,10,5}\n"
+      "\\textstyle{bold,50,5}\n"
+      "\\textstyle{heading,52,1}\n"
+      "0123456789012345678901234567890123456789012345678901234567890123456789\n"
+      "\\enddata{text,1}\n";
+  ReadContext ctx;
+  std::unique_ptr<DataObject> read = ReadDocument(doc, &ctx);
+  TextData* text = ObjectCast<TextData>(read.get());
+  ASSERT_NE(text, nullptr);
+  ASSERT_EQ(text->style_runs().size(), 7u);
+  ExpectStyleNamesMatchLinearScan(*text);
+  // Position 8 lies inside the outer bold run, past the nested italic one
+  // that starts later: a search keyed on run starts alone would miss it.
+  EXPECT_EQ(text->StyleNameAt(8), "bold");
+  EXPECT_EQ(text->StyleNameAt(35), "heading");
+  EXPECT_EQ(text->StyleNameAt(53), "bold");
+  RandomStyledEdits(*text, 5, 300);
+}
+
+TEST_F(TextDataTest, LineOfPosInvertsPosOfLineWhereverTheGapSits) {
+  std::string content;
+  for (int line = 0; line < 40; ++line) {
+    content += std::string(static_cast<size_t>(line % 7), 'w') + "\n";
+  }
+  content += "tail";
+  text_.SetText(content);
+  for (int64_t gap : {int64_t{0}, text_.size() / 2, text_.size()}) {
+    // An insert and delete of one character leaves the gap at `gap`.
+    text_.InsertString(gap, "#");
+    text_.DeleteRange(gap, 1);
+    ASSERT_EQ(text_.GetAllText(), content);
+    ASSERT_EQ(text_.LineCount(), 41);
+    for (int64_t k = 0; k < text_.LineCount(); ++k) {
+      EXPECT_EQ(text_.LineOfPos(text_.PosOfLine(k)), k) << "gap " << gap << " line " << k;
+    }
+    int64_t newlines = 0;
+    for (int64_t pos = 0; pos <= text_.size(); ++pos) {
+      EXPECT_EQ(text_.LineOfPos(pos), newlines) << "gap " << gap << " pos " << pos;
+      newlines += pos < text_.size() && content[static_cast<size_t>(pos)] == '\n' ? 1 : 0;
+    }
+  }
 }
 
 // ---- TextView --------------------------------------------------------------------
