@@ -148,35 +148,47 @@ void BM_ReadDocumentBySize_Baseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadDocumentBySize_Baseline)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// Decode cost against embedded-object count: a root text holding `objects`
-// children that cycle through a text, a table with a text in a cell, and a
-// drawing, so nested texts appear at every size.  Read time should grow
-// linearly in the object count; the /4096 run also publishes the peak
-// accounted bytes of one decode (gated against the document size).
-std::string MakeEmbeddedObjectDocument(int objects) {
-  WorkloadRng rng(4096);
-  std::unique_ptr<TextData> doc = GenerateDocument(rng, 4 + objects / 4);
-  for (int i = 0; i < objects; ++i) {
-    std::unique_ptr<DataObject> child;
-    if (i % 3 == 0) {
+// One embedded object of `kind`: 0 a text, 1 a 3x3 table with a text in a
+// cell, 2 a drawing (whose text shapes nest texts too), 3 a raster.
+std::unique_ptr<DataObject> MakeEmbeddedObject(WorkloadRng& rng, int kind) {
+  switch (kind) {
+    case 0: {
       auto text = std::make_unique<TextData>();
       text->SetText(GenerateProse(rng, 12));
-      child = std::move(text);
-    } else if (i % 3 == 1) {
+      return text;
+    }
+    case 1: {
       std::unique_ptr<TableData> table = GenerateSpreadsheet(rng, 3, 3);
       auto cell = std::make_unique<TextData>();
       cell->SetText(GenerateProse(rng, 8));
       table->SetObject(1, 1, std::move(cell));
-      child = std::move(table);
-    } else {
-      child = GenerateDrawing(rng, 4, 80, 60);
+      return table;
     }
+    case 2:
+      return GenerateDrawing(rng, 4, 80, 60);
+    default:
+      return GenerateRaster(rng, 16, 12);
+  }
+}
+
+// A root text holding `objects` embedded objects at random positions, all
+// of `kind`, or cycling through text, table and drawing when `kind` is -1.
+std::string MakeEmbeddedObjectDocument(int objects, int kind = -1) {
+  WorkloadRng rng(4096);
+  std::unique_ptr<TextData> doc = GenerateDocument(rng, 4 + objects / 4);
+  for (int i = 0; i < objects; ++i) {
+    std::unique_ptr<DataObject> child = MakeEmbeddedObject(rng, kind < 0 ? i % 3 : kind);
     int64_t pos = static_cast<int64_t>(rng.Below(static_cast<uint64_t>(doc->size() + 1)));
     doc->InsertObject(pos, std::move(child));
   }
   return WriteDocument(*doc);
 }
 
+// Decode cost against embedded-object count: a root text holding `objects`
+// children that cycle through a text, a table with a text in a cell, and a
+// drawing, so nested texts appear at every size.  Read time should grow
+// linearly in the object count; the /4096 run also publishes the peak
+// accounted bytes of one decode (gated against the document size).
 void BM_ReadCompoundByObjects(benchmark::State& state) {
   Setup();
   std::string serialized = MakeEmbeddedObjectDocument(static_cast<int>(state.range(0)));
@@ -204,6 +216,23 @@ void BM_ReadCompoundByObjects(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadCompoundByObjects)->Arg(256)->Arg(1024)->Arg(4096);
+
+// Decode cost per kind of embedded object: 256 objects of one kind (0 text,
+// 1 table, 2 drawing, 3 raster) in the same root text.  A kind's per-object
+// set-up work (style sheets, directive parsing, empty-table recalculation)
+// shows here undiluted by the other kinds.
+void BM_ReadEmbeddedByKind(benchmark::State& state) {
+  Setup();
+  std::string serialized = MakeEmbeddedObjectDocument(256, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    ReadContext ctx;
+    std::unique_ptr<DataObject> read = ReadDocument(serialized, &ctx);
+    benchmark::DoNotOptimize(read);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(serialized.size()));
+  state.counters["doc_bytes"] = static_cast<double>(serialized.size());
+}
+BENCHMARK(BM_ReadEmbeddedByKind)->DenseRange(0, 3);
 
 void BM_RoundTripCompoundByNesting(benchmark::State& state) {
   Setup();

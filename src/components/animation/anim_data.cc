@@ -1,11 +1,19 @@
 #include "src/components/animation/anim_data.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
 ATK_DEFINE_CLASS(AnimData, DataObject, "animation")
+
+namespace {
+// \animcmd kind names, indexed by Command::Kind.
+constexpr std::string_view kCommandNames[] = {"line", "rect", "fillrect", "ellipse", "text"};
+}  // namespace
 
 AnimData::AnimData() = default;
 
@@ -104,24 +112,7 @@ void AnimData::WriteBody(DataStreamWriter& writer) const {
     writer.WriteNewline();
     for (const Command& cmd : frame.commands) {
       std::ostringstream args;
-      const char* kind = "line";
-      switch (cmd.kind) {
-        case Command::Kind::kLine:
-          kind = "line";
-          break;
-        case Command::Kind::kRect:
-          kind = "rect";
-          break;
-        case Command::Kind::kFillRect:
-          kind = "fillrect";
-          break;
-        case Command::Kind::kEllipse:
-          kind = "ellipse";
-          break;
-        case Command::Kind::kText:
-          kind = "text";
-          break;
-      }
+      std::string_view kind = kCommandNames[static_cast<int>(cmd.kind)];
       args << kind << "," << cmd.box.x << "," << cmd.box.y << "," << cmd.box.width << ","
            << cmd.box.height;
       writer.WriteDirective("animcmd", args.str());
@@ -153,23 +144,16 @@ bool AnimData::ReadBody(DataStreamReader& reader, ReadContext& context) {
         frames_.push_back(Frame{});
         pending_text_cmd = nullptr;
       } else if (token.type == "animcmd" && !frames_.empty()) {
-        char kind_buf[16] = {0};
+        DirectiveArgs args(token.text);
+        std::string_view name;
         Command cmd;
-        std::string args(token.text);
-        if (std::sscanf(args.c_str(), "%15[a-z],%d,%d,%d,%d", kind_buf, &cmd.box.x,
-                        &cmd.box.y, &cmd.box.width, &cmd.box.height) == 5) {
-          std::string kind = kind_buf;
-          if (kind == "line") {
-            cmd.kind = Command::Kind::kLine;
-          } else if (kind == "rect") {
-            cmd.kind = Command::Kind::kRect;
-          } else if (kind == "fillrect") {
-            cmd.kind = Command::Kind::kFillRect;
-          } else if (kind == "ellipse") {
-            cmd.kind = Command::Kind::kEllipse;
-          } else if (kind == "text") {
-            cmd.kind = Command::Kind::kText;
-          }
+        const auto* known = std::end(kCommandNames);
+        if (args.Name(name) && args.Int(cmd.box.x) && args.Int(cmd.box.y) &&
+            args.Int(cmd.box.width) && args.Int(cmd.box.height)) {
+          known = std::find(std::begin(kCommandNames), std::end(kCommandNames), name);
+        }
+        if (known != std::end(kCommandNames)) {
+          cmd.kind = static_cast<Command::Kind>(known - std::begin(kCommandNames));
           frames_.back().commands.push_back(std::move(cmd));
           pending_text_cmd = frames_.back().commands.back().kind == Command::Kind::kText
                                  ? &frames_.back().commands.back()

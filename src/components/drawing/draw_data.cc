@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "src/base/default_views.h"
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
@@ -241,35 +241,34 @@ bool DrawData::ReadBody(DataStreamReader& reader, ReadContext& context) {
     }
     switch (token.kind) {
       case Kind::kDirective: {
+        DirectiveArgs args(token.text);
         if (token.type == "shape") {
-          std::istringstream in{std::string(token.text)};
-          std::string kind;
-          std::getline(in, kind, ',');
+          std::string_view kind;
+          args.Name(kind);
           Shape shape;
           if (kind == "line" || kind == "poly") {
             shape.kind = kind == "line" ? ShapeKind::kLine : ShapeKind::kPolyline;
-            char comma;
-            in >> shape.line_width;
-            int x = 0;
-            int y = 0;
-            while (in >> comma >> x >> comma >> y) {
-              shape.points.push_back(Point{x, y});
+            if (args.Int(shape.line_width)) {
+              Point p;
+              while (args.Int(p.x) && args.Int(p.y)) {
+                shape.points.push_back(p);
+              }
+              shapes_.push_back(std::move(shape));
             }
-            shapes_.push_back(std::move(shape));
           } else if (kind == "rect" || kind == "ellipse") {
             shape.kind = kind == "rect" ? ShapeKind::kRect : ShapeKind::kEllipse;
             int filled = 0;
-            char comma;
-            if (in >> filled >> comma >> shape.box.x >> comma >> shape.box.y >> comma >>
-                shape.box.width >> comma >> shape.box.height) {
+            if (args.Int(filled) && args.Int(shape.box.x) && args.Int(shape.box.y) &&
+                args.Int(shape.box.width) && args.Int(shape.box.height)) {
               shape.filled = filled != 0;
               shapes_.push_back(std::move(shape));
             }
           }
         } else if (token.type == "shapetext" || token.type == "shapeobject") {
-          std::string args(token.text);
-          if (std::sscanf(args.c_str(), "%d,%d,%d,%d", &pending_box.x, &pending_box.y,
-                          &pending_box.width, &pending_box.height) == 4) {
+          Rect box;
+          if (args.Int(box.x) && args.Int(box.y) && args.Int(box.width) &&
+              args.Int(box.height)) {
+            pending_box = box;
             have_pending_box = true;
             pending_is_text = token.type == "shapetext";
           }

@@ -1,6 +1,6 @@
 #include "src/components/raster/raster_data.h"
 
-#include <cstdio>
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
@@ -115,11 +115,10 @@ void RasterData::WriteBody(DataStreamWriter& writer) const {
 }
 
 bool RasterData::ReadBody(DataStreamReader& reader, ReadContext& context) {
-  (void)context;
   using Kind = DataStreamReader::Token::Kind;
   int y = 0;
   std::string carry;
-  auto consume_line = [&](const std::string& line) {
+  auto consume_line = [&](std::string_view line) {
     if (y >= height_ || line.empty()) {
       return;
     }
@@ -154,22 +153,42 @@ bool RasterData::ReadBody(DataStreamReader& reader, ReadContext& context) {
       return token.kind == Kind::kEndData;
     }
     if (token.kind == Kind::kDirective && token.type == "rasterdim") {
+      DirectiveArgs args(token.text);
       int w = 0;
       int h = 0;
-      std::string args(token.text);
-      if (std::sscanf(args.c_str(), "%d,%d", &w, &h) == 2) {
-        width_ = std::max(w, 0);
-        height_ = std::max(h, 0);
-        bits_.assign(static_cast<size_t>(width_) * height_, false);
-        y = 0;
+      if (args.Int(w) && args.Int(h)) {
+        w = std::max(w, 0);
+        h = std::max(h, 0);
+        // Each hex digit of the rows that follow carries 4 pixels, so no
+        // honest raster declares more than the rest of the input can hold.
+        int64_t carriable = 4 * static_cast<int64_t>(reader.input_size() - reader.position());
+        if (int64_t{w} * h > carriable) {
+          context.AddDiagnostic(Diagnostic{StatusCode::kCorrupt, token.offset,
+                                           "raster dimensions " + std::string(token.text) +
+                                               " exceed the pixels its input carries"});
+        } else {
+          width_ = w;
+          height_ = h;
+          bits_.assign(static_cast<size_t>(width_) * height_, false);
+          y = 0;
+        }
       }
     } else if (token.kind == Kind::kText) {
-      carry += token.text;
+      // Rows are consumed in place; only a row split across tokens is
+      // gathered in `carry`.
+      std::string_view text = token.text;
       size_t nl;
-      while ((nl = carry.find('\n')) != std::string::npos) {
-        consume_line(carry.substr(0, nl));
-        carry.erase(0, nl + 1);
+      while ((nl = text.find('\n')) != std::string_view::npos) {
+        if (carry.empty()) {
+          consume_line(text.substr(0, nl));
+        } else {
+          carry += text.substr(0, nl);
+          consume_line(carry);
+          carry.clear();
+        }
+        text.remove_prefix(nl + 1);
       }
+      carry += text;
     } else if (token.kind == Kind::kBeginData) {
       reader.SkipObject(token.type, token.id);
     }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
@@ -125,13 +126,15 @@ bool ChartData::ReadBody(DataStreamReader& reader, ReadContext& context) {
         if (token.type == "charttitle") {
           title_ = token.text;
         } else if (token.type == "chartcols") {
-          std::string args(token.text);
-          std::sscanf(args.c_str(), "%d,%d", &label_col_, &value_col_);
+          // As with sscanf, fields read before a bad one are kept.
+          DirectiveArgs args(token.text);
+          args.Int(label_col_) && args.Int(value_col_);
         } else if (token.type == "chartrows") {
-          std::string args(token.text);
-          std::sscanf(args.c_str(), "%d,%d", &first_row_, &last_row_);
+          DirectiveArgs args(token.text);
+          args.Int(first_row_) && args.Int(last_row_);
         } else if (token.type == "chartsource") {
-          int64_t id = std::atoll(std::string(token.text).c_str());
+          int64_t id = 0;
+          DirectiveArgs(token.text).Int(id);
           TableData* table = ObjectCast<TableData>(context.Resolve(id));
           if (table != nullptr) {
             SetSource(table);

@@ -1,12 +1,15 @@
 #include "src/components/table/table_data.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 
 #include "src/base/default_views.h"
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
@@ -14,22 +17,46 @@ ATK_DEFINE_CLASS(TableData, DataObject, "table")
 
 namespace {
 constexpr int kDefaultColWidth = 64;
+
+// atof's value for a number cell's text.  The writer's "%.17g" output is
+// consumed whole by from_chars; anything else (a leading blank or '+', hex,
+// trailing junk, an out-of-range exponent) goes through atof itself.
+double ParseNumber(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  std::from_chars_result parsed = std::from_chars(text.data(), end, value);
+  if (parsed.ec == std::errc() && parsed.ptr == end) {
+    return value;
+  }
+  return std::atof(std::string(text).c_str());
+}
 }  // namespace
 
-TableData::TableData() { Resize(4, 4); }
+// A fresh table is 4x4 and empty: it has no formulas to recalculate and no
+// observers to notify, and ReadBody replaces its shape anyway.
+TableData::TableData()
+    : rows_(4), cols_(4), cells_(16), col_widths_(4, kDefaultColWidth) {}
 
 TableData::~TableData() = default;
 
 void TableData::Resize(int rows, int cols) {
   rows = std::max(rows, 0);
   cols = std::max(cols, 0);
-  std::vector<Cell> next(static_cast<size_t>(rows) * cols);
-  for (int r = 0; r < std::min(rows, rows_); ++r) {
-    for (int c = 0; c < std::min(cols, cols_); ++c) {
-      next[static_cast<size_t>(r) * cols + c] = std::move(cells_[Index(r, c)]);
+  auto is_empty = [](const Cell& cell) { return cell.kind == CellKind::kEmpty; };
+  if (std::all_of(cells_.begin(), cells_.end(), is_empty)) {
+    // Nothing to carry over (a new table, or one being read): reuse the
+    // storage.
+    cells_.clear();
+    cells_.resize(static_cast<size_t>(rows) * cols);
+  } else {
+    std::vector<Cell> next(static_cast<size_t>(rows) * cols);
+    for (int r = 0; r < std::min(rows, rows_); ++r) {
+      for (int c = 0; c < std::min(cols, cols_); ++c) {
+        next[static_cast<size_t>(r) * cols + c] = std::move(cells_[Index(r, c)]);
+      }
     }
+    cells_ = std::move(next);
   }
-  cells_ = std::move(next);
   rows_ = rows;
   cols_ = cols;
   col_widths_.resize(static_cast<size_t>(cols), kDefaultColWidth);
@@ -289,6 +316,10 @@ std::string TableData::DisplayText(int row, int col) const {
 void TableData::Recalculate() {
   ++recalc_count_;
   last_recalc_evaluations_ = 0;
+  auto is_formula = [](const Cell& cell) { return cell.kind == CellKind::kFormula; };
+  if (std::none_of(cells_.begin(), cells_.end(), is_formula)) {
+    return;  // Nothing to evaluate (a freshly read table of text and numbers).
+  }
   // Three-color DFS over formula cells; cycles poison every cell on them.
   enum class Mark { kWhite, kGray, kBlack };
   std::vector<Mark> marks(cells_.size(), Mark::kWhite);
@@ -354,7 +385,9 @@ void TableData::Recalculate() {
 
   for (int r = 0; r < rows_; ++r) {
     for (int c = 0; c < cols_; ++c) {
-      evaluate(r, c);
+      if (is_formula(cells_[Index(r, c)])) {
+        evaluate(r, c);
+      }
     }
   }
 }
@@ -410,30 +443,30 @@ void TableData::WriteBody(DataStreamWriter& writer) const {
 bool TableData::ReadBody(DataStreamReader& reader, ReadContext& context) {
   using Kind = DataStreamReader::Token::Kind;
   in_bulk_load_ = true;
-  rows_ = 0;
-  cols_ = 0;
+  rows_ = 1;
+  cols_ = 1;
   cells_.clear();
-  col_widths_.clear();
-  Resize(1, 1);
+  cells_.resize(1);
+  col_widths_.assign(1, kDefaultColWidth);
   int pending_obj_row = -1;
   int pending_obj_col = -1;
   // Cell content is the text that follows a \cell directive, up to newline.
   int content_row = -1;
   int content_col = -1;
-  std::string content_kind;
+  CellKind content_kind = CellKind::kEmpty;
   std::string content;
   std::vector<std::pair<int64_t, std::unique_ptr<DataObject>>> pending_children;
 
-  auto commit_content = [&]() {
+  auto commit_content = [&](std::string_view text) {
     if (content_row < 0) {
       return;
     }
-    if (content_kind == "text") {
-      SetText(content_row, content_col, content);
-    } else if (content_kind == "number") {
-      SetNumber(content_row, content_col, std::atof(content.c_str()));
-    } else if (content_kind == "formula") {
-      SetFormula(content_row, content_col, content);
+    if (content_kind == CellKind::kText) {
+      SetText(content_row, content_col, text);
+    } else if (content_kind == CellKind::kNumber) {
+      SetNumber(content_row, content_col, ParseNumber(text));
+    } else if (content_kind == CellKind::kFormula) {
+      SetFormula(content_row, content_col, text);
     }
     content_row = -1;
     content.clear();
@@ -453,43 +486,51 @@ bool TableData::ReadBody(DataStreamReader& reader, ReadContext& context) {
       case Kind::kText: {
         if (content_row >= 0) {
           size_t nl = token.text.find('\n');
-          content += token.text.substr(0, nl);
-          if (nl != std::string::npos) {
-            commit_content();
+          std::string_view line = token.text.substr(0, nl);
+          if (nl == std::string_view::npos) {
+            content += line;
+          } else if (content.empty()) {
+            commit_content(line);  // The whole line is in this token.
+          } else {
+            content += line;
+            commit_content(content);
           }
         }
         break;
       }
       case Kind::kDirective: {
-        commit_content();
-        std::string args(token.text);
+        commit_content(content);
+        DirectiveArgs args(token.text);
+        int r = 0;
+        int c = 0;
         if (token.type == "dimensions") {
-          int r = 0;
-          int c = 0;
-          if (std::sscanf(args.c_str(), "%d,%d", &r, &c) == 2) {
-            Resize(r, c);
+          if (args.Int(r) && args.Int(c)) {
+            if (int64_t{std::max(r, 1)} * std::max(c, 1) > kMaxCells) {
+              context.AddDiagnostic(Diagnostic{
+                  StatusCode::kCorrupt, token.offset,
+                  "table dimensions " + std::string(token.text) + " exceed the cell cap"});
+            } else {
+              Resize(r, c);
+            }
           }
         } else if (token.type == "colwidth") {
-          int c = 0;
           int w = 0;
-          if (std::sscanf(args.c_str(), "%d,%d", &c, &w) == 2) {
+          if (args.Int(c) && args.Int(w)) {
             SetColWidth(c, w);
           }
         } else if (token.type == "cell") {
-          int r = 0;
-          int c = 0;
-          char kind_buf[16] = {0};
-          if (std::sscanf(args.c_str(), "%d,%d,%15s", &r, &c, kind_buf) == 3 &&
-              InBounds(r, c)) {
+          std::string_view kind;
+          if (args.Int(r) && args.Int(c) && args.Word(kind) && InBounds(r, c)) {
             content_row = r;
             content_col = c;
-            content_kind = kind_buf;
+            content_kind = kind == "text"      ? CellKind::kText
+                           : kind == "number"  ? CellKind::kNumber
+                           : kind == "formula" ? CellKind::kFormula
+                                               : CellKind::kEmpty;
             content.clear();
           }
         } else if (token.type == "cellobject") {
-          int r = 0;
-          int c = 0;
-          if (std::sscanf(args.c_str(), "%d,%d", &r, &c) == 2 && InBounds(r, c)) {
+          if (args.Int(r) && args.Int(c) && InBounds(r, c)) {
             pending_obj_row = r;
             pending_obj_col = c;
           }
@@ -497,7 +538,7 @@ bool TableData::ReadBody(DataStreamReader& reader, ReadContext& context) {
         break;
       }
       case Kind::kBeginData: {
-        commit_content();
+        commit_content(content);
         std::unique_ptr<DataObject> child =
             ReadObjectBody(reader, context, std::string(token.type), token.id);
         if (child != nullptr) {
@@ -521,7 +562,7 @@ bool TableData::ReadBody(DataStreamReader& reader, ReadContext& context) {
         break;
     }
   }
-  commit_content();
+  commit_content(content);
   in_bulk_load_ = false;
   Recalculate();
   Change change;

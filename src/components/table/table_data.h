@@ -36,6 +36,10 @@ class TableData : public DataObject {
     std::string view_type;
   };
 
+  // The most cells a document may declare.  ReadBody reports a larger
+  // \dimensions as a diagnostic and allocates nothing for it.
+  static constexpr int64_t kMaxCells = int64_t{1} << 20;
+
   TableData();
   ~TableData() override;
 

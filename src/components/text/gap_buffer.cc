@@ -46,7 +46,7 @@ void GapBuffer::GrowGap(size_t needed) {
     return;
   }
   size_t old_size = buffer_.size();
-  size_t new_size = std::max(old_size * 2, old_size + needed);
+  size_t new_size = std::max({old_size * 2, old_size + needed, kMinCapacity});
   size_t tail_len = old_size - gap_end_;
   buffer_.resize(new_size);
   // Offsets, not buffer_[i]: with the gap at the end, new_size - tail_len is

@@ -20,9 +20,9 @@ observability::MemoryAccount& GapBufferMemAccount();
 
 class GapBuffer {
  public:
-  GapBuffer() : buffer_(kInitialCapacity), gap_start_(0), gap_end_(kInitialCapacity) {
-    SyncMem();
-  }
+  // No storage until the first insert, which sizes it: a text read from a
+  // document then allocates once instead of outgrowing a default capacity.
+  GapBuffer() : gap_start_(0), gap_end_(0) {}
   GapBuffer(const GapBuffer& other)
       : buffer_(other.buffer_), gap_start_(other.gap_start_), gap_end_(other.gap_end_) {
     SyncMem();
@@ -77,15 +77,17 @@ class GapBuffer {
   size_t capacity() const { return buffer_.size(); }
 
  private:
-  static constexpr size_t kInitialCapacity = 64;
+  // The least capacity a growing buffer takes, so typing into a fresh text
+  // does not reallocate on every key.
+  static constexpr size_t kMinCapacity = 64;
 
   void MoveGapTo(size_t pos);
   void GrowGap(size_t needed);
 
   // Re-charges the accountant to this buffer's capacity.  Called only when
-  // the backing vector may have changed size (construction, GrowGap, copy),
-  // never on the per-edit path.  Re-attaches after a move-from, so a reused
-  // moved-from buffer self-heals its accounting.
+  // the backing vector may have changed size (GrowGap, copy), never on the
+  // per-edit path.  Re-attaches after a move-from, so a reused moved-from
+  // buffer self-heals its accounting.
   void SyncMem() {
     if (!mem_.attached()) {
       mem_ = observability::ScopedCharge(GapBufferMemAccount());

@@ -1,5 +1,6 @@
 #include "src/components/text/style.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace atk {
@@ -27,10 +28,72 @@ Justification JustifyFromName(std::string_view name) {
   return Justification::kLeft;
 }
 
-bool IsStandardStyleName(std::string_view name) {
-  return name == "default" || name == "bold" || name == "italic" || name == "bolditalic" ||
-         name == "heading" || name == "subheading" || name == "typewriter" ||
-         name == "center" || name == "quotation";
+// The standard Andrew styles, "default" first.  Built once, never changed,
+// and never destroyed, so a sheet may resolve names even during exit.
+const std::vector<Style>& StandardStyles() {
+  static const std::vector<Style>* standard = [] {
+    auto* sheet = new std::vector<Style>();
+    Style def;
+    sheet->push_back(def);
+
+    Style bold = def;
+    bold.name = "bold";
+    bold.font.style = kBold;
+    sheet->push_back(bold);
+
+    Style italic = def;
+    italic.name = "italic";
+    italic.font.style = kItalic;
+    sheet->push_back(italic);
+
+    Style bolditalic = def;
+    bolditalic.name = "bolditalic";
+    bolditalic.font.style = kBold | kItalic;
+    sheet->push_back(bolditalic);
+
+    Style heading = def;
+    heading.name = "heading";
+    heading.font.size = 20;
+    heading.font.style = kBold;
+    heading.space_above = 6;
+    sheet->push_back(heading);
+
+    Style subheading = def;
+    subheading.name = "subheading";
+    subheading.font.size = 14;
+    subheading.font.style = kBold;
+    subheading.space_above = 4;
+    sheet->push_back(subheading);
+
+    Style typewriter = def;
+    typewriter.name = "typewriter";
+    typewriter.font.family = "andytype";
+    sheet->push_back(typewriter);
+
+    Style center = def;
+    center.name = "center";
+    center.justify = Justification::kCenter;
+    sheet->push_back(center);
+
+    Style quotation = def;
+    quotation.name = "quotation";
+    quotation.font.style = kItalic;
+    quotation.indent_left = 16;
+    sheet->push_back(quotation);
+    return sheet;
+  }();
+  return *standard;
+}
+
+// A linear scan: with nine names, comparing lengths first beats a tree
+// walk, and Get runs once per laid-out character.
+const Style* FindStandard(std::string_view name) {
+  for (const Style& style : StandardStyles()) {
+    if (style.name == name) {
+      return &style;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -72,79 +135,31 @@ Style Style::Deserialize(std::string_view name, std::string_view serialized) {
   return style;
 }
 
-StyleSheet StyleSheet::WithStandardStyles() {
-  StyleSheet sheet;
-  Style def;
-  sheet.Define(def);
+void StyleSheet::Define(const Style& style) { styles_[style.name] = style; }
 
-  Style bold = def;
-  bold.name = "bold";
-  bold.font.style = kBold;
-  sheet.Define(bold);
-
-  Style italic = def;
-  italic.name = "italic";
-  italic.font.style = kItalic;
-  sheet.Define(italic);
-
-  Style bolditalic = def;
-  bolditalic.name = "bolditalic";
-  bolditalic.font.style = kBold | kItalic;
-  sheet.Define(bolditalic);
-
-  Style heading = def;
-  heading.name = "heading";
-  heading.font.size = 20;
-  heading.font.style = kBold;
-  heading.space_above = 6;
-  sheet.Define(heading);
-
-  Style subheading = def;
-  subheading.name = "subheading";
-  subheading.font.size = 14;
-  subheading.font.style = kBold;
-  subheading.space_above = 4;
-  sheet.Define(subheading);
-
-  Style typewriter = def;
-  typewriter.name = "typewriter";
-  typewriter.font.family = "andytype";
-  sheet.Define(typewriter);
-
-  Style center = def;
-  center.name = "center";
-  center.justify = Justification::kCenter;
-  sheet.Define(center);
-
-  Style quotation = def;
-  quotation.name = "quotation";
-  quotation.font.style = kItalic;
-  quotation.indent_left = 16;
-  sheet.Define(quotation);
-  return sheet;
-}
-
-void StyleSheet::Define(const Style& style) {
-  styles_[style.name] = style;
-  if (style.name == "default") {
-    default_style_ = style;
+const Style* StyleSheet::Find(std::string_view name) const {
+  if (!styles_.empty()) {
+    auto own = styles_.find(name);
+    if (own != styles_.end()) {
+      return &own->second;
+    }
   }
+  return FindStandard(name);
 }
 
 const Style& StyleSheet::Get(std::string_view name) const {
-  auto it = styles_.find(name);
-  return it == styles_.end() ? default_style_ : it->second;
+  const Style* style = Find(name);
+  // The standard sheet defines "default", so the fallback always resolves.
+  return style != nullptr ? *style : *Find("default");
 }
 
-bool StyleSheet::Contains(std::string_view name) const {
-  return styles_.find(name) != styles_.end();
-}
+bool StyleSheet::Contains(std::string_view name) const { return Find(name) != nullptr; }
 
 std::vector<const Style*> StyleSheet::CustomStyles() const {
-  static const StyleSheet* standard = new StyleSheet(WithStandardStyles());
   std::vector<const Style*> custom;
   for (const auto& [name, style] : styles_) {
-    if (!IsStandardStyleName(name) || !(style == standard->Get(name))) {
+    const Style* standard = FindStandard(name);
+    if (standard == nullptr || !(style == *standard)) {
       custom.push_back(&style);
     }
   }
@@ -153,10 +168,16 @@ std::vector<const Style*> StyleSheet::CustomStyles() const {
 
 std::vector<std::string> StyleSheet::Names() const {
   std::vector<std::string> names;
-  names.reserve(styles_.size());
+  names.reserve(styles_.size() + StandardStyles().size());
   for (const auto& [name, style] : styles_) {
     names.push_back(name);
   }
+  for (const Style& style : StandardStyles()) {
+    if (styles_.find(style.name) == styles_.end()) {
+      names.push_back(style.name);
+    }
+  }
+  std::sort(names.begin(), names.end());
   return names;
 }
 

@@ -3,8 +3,9 @@
 // The text component is "multi-font text ... with multiple fonts,
 // indentations, etc." (§2).  A Style names a bundle of appearance
 // attributes; a StyleSheet maps style names to Styles.  Text data carries
-// (start, len, style-name) runs; the view resolves names through the sheet
-// at layout time, so restyling a sheet restyles every document using it.
+// (start, len, style-name) runs; the view resolves names through the
+// document's sheet at layout time, so restyling a sheet restyles every run
+// that names the style.
 
 #ifndef ATK_SRC_COMPONENTS_TEXT_STYLE_H_
 #define ATK_SRC_COMPONENTS_TEXT_STYLE_H_
@@ -40,12 +41,17 @@ struct Style {
   static Style Deserialize(std::string_view name, std::string_view serialized);
 };
 
+// A document's styles.  The sheet stores only the styles its document
+// defines; every other name falls through to the standard Andrew styles
+// (default, bold, italic, bolditalic, heading, subheading, typewriter,
+// center, quotation), one immutable sheet shared by the whole process.  A
+// fresh sheet therefore allocates nothing, and a Define restyles this
+// document alone: it never touches the standard sheet or another document.
 class StyleSheet {
  public:
-  // A sheet pre-populated with the standard Andrew styles: default, bold,
-  // italic, bolditalic, heading, subheading, typewriter, center, quotation.
-  static StyleSheet WithStandardStyles();
-
+  // Defines or redefines `style.name` in this sheet.  A reference Get
+  // returned for a name this sheet defines stays valid and shows the new
+  // definition.
   void Define(const Style& style);
   // Resolves `name`; unknown names resolve to "default".
   const Style& Get(std::string_view name) const;
@@ -55,11 +61,14 @@ class StyleSheet {
   // any standard style whose definition was edited (e.g. by the style
   // editor).
   std::vector<const Style*> CustomStyles() const;
+  // Every name Get resolves without falling back to "default", sorted.
   std::vector<std::string> Names() const;
 
  private:
+  const Style* Find(std::string_view name) const;
+
+  // This document's own definitions only.
   std::map<std::string, Style, std::less<>> styles_;
-  Style default_style_;
 };
 
 }  // namespace atk

@@ -5,12 +5,13 @@
 #include <map>
 
 #include "src/base/default_views.h"
+#include "src/datastream/directive_args.h"
 
 namespace atk {
 
 ATK_DEFINE_CLASS(TextData, DataObject, "text")
 
-TextData::TextData() : styles_(StyleSheet::WithStandardStyles()) {}
+TextData::TextData() = default;
 
 TextData::~TextData() = default;
 
@@ -303,19 +304,6 @@ void TextData::WriteBody(DataStreamWriter& writer) const {
   writer.WriteText(buffer_.Substr(pos, size() - pos));
 }
 
-// Digits-only parse for directive fields (the writer emits no sign or
-// padding); stops at the first non-digit like atoll would.
-static int64_t ParseDirectiveInt(std::string_view field) {
-  int64_t value = 0;
-  for (char ch : field) {
-    if (ch < '0' || ch > '9') {
-      break;
-    }
-    value = value * 10 + (ch - '0');
-  }
-  return value;
-}
-
 bool TextData::ReadBody(DataStreamReader& reader, ReadContext& context) {
   using Kind = DataStreamReader::Token::Kind;
   buffer_.Delete(0, size());
@@ -392,13 +380,11 @@ bool TextData::ReadBody(DataStreamReader& reader, ReadContext& context) {
       case Kind::kDirective: {
         if (token.type == "textstyle") {
           // name,pos,len
-          size_t c1 = token.text.find(',');
-          size_t c2 = token.text.find(',', c1 + 1);
-          if (c1 != std::string_view::npos && c2 != std::string_view::npos) {
-            StyleRun run;
-            run.style = token.text.substr(0, c1);
-            run.pos = ParseDirectiveInt(token.text.substr(c1 + 1, c2 - c1 - 1));
-            run.len = ParseDirectiveInt(token.text.substr(c2 + 1));
+          DirectiveArgs args(token.text);
+          std::string_view name;
+          StyleRun run;
+          if (args.Name(name) && args.Int(run.pos) && args.Int(run.len) && run.pos >= 0) {
+            run.style = name;
             pending_runs.push_back(std::move(run));
           }
         } else if (token.type == "definestyle") {

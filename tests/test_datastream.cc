@@ -1,10 +1,18 @@
 // Unit tests for the §5 external representation: nested markers, escaping,
-// skip-without-parse, truncation recovery, and the 7-bit/80-column posture.
+// skip-without-parse, truncation recovery, the 7-bit/80-column posture, and
+// the directive argument parser the component read paths share.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "src/datastream/directive_args.h"
 #include "src/datastream/reader.h"
 #include "src/datastream/writer.h"
 
@@ -368,6 +376,154 @@ TEST(Reader, EscapedBackslashCannotFakeAMarker) {
   EXPECT_TRUE(r.SkipObject("text", t.id, &raw));
   EXPECT_EQ(r.Next().kind, Kind::kEof);
   EXPECT_FALSE(r.truncated());
+}
+
+// ---- DirectiveArgs against sscanf / istringstream ------------------------------------
+
+// Argument texts the parser must read exactly as the C library does: writer
+// output, then signs, blanks, missing fields and trailing junk.
+const char* const kArgTexts[] = {
+    // Writer output (\dimensions, \cell, \shape's numeric tail, \rasterdim).
+    "3,4", "0,0", "16,12", "128,8", "2,1,text", "2,1,number", "2,1,formula",
+    "1,-40,-7,30,12", "2,10,20,-30,-40", "2147483647,-2147483648",
+    // Negatives, a leading '+', leading blanks.
+    "-1,-2", "-0,5", "+5,+6", "5,+6", " 5,6", "5, 6", "\t5,\n6", "  -5,  +6",
+    "\v\f\r7,8",
+    // Missing fields.
+    "", "5", "5,", ",5", "5,,6", "-", "+", "- 5,6", "+-5,6", "5 ,6", "a,1", " ",
+    // Trailing junk.
+    "5,6xyz", "5,6,", "5,6 7", "5x,6", "5.5,6", "5,6.5", "5,6,7,8,9,10",
+};
+
+// Up to five ints read by `format` ("%d,%d,..."), the way the component
+// read paths used to.
+std::vector<int> ScanInts(const char* text, int fields) {
+  std::string format;
+  for (int i = 0; i < fields; ++i) {
+    format += i == 0 ? "%d" : ",%d";
+  }
+  int v[5] = {0, 0, 0, 0, 0};
+  int n = std::sscanf(text, format.c_str(), &v[0], &v[1], &v[2], &v[3], &v[4]);
+  return std::vector<int>(v, v + std::max(n, 0));
+}
+
+std::vector<int> ParseInts(std::string_view text, int fields) {
+  DirectiveArgs args(text);
+  std::vector<int> values;
+  int value = 0;
+  while (static_cast<int>(values.size()) < fields && args.Int(value)) {
+    values.push_back(value);
+  }
+  return values;
+}
+
+TEST(DirectiveArgs, IntsMatchSscanf) {
+  for (const char* text : kArgTexts) {
+    for (int fields = 1; fields <= 5; ++fields) {
+      EXPECT_EQ(ParseInts(text, fields), ScanInts(text, fields))
+          << "\"" << text << "\" with " << fields << " fields";
+    }
+  }
+}
+
+TEST(DirectiveArgs, TrailingWordMatchesSscanf) {
+  const char* const kCells[] = {
+      "2,1,text", "2,1,number", "2,1,formula", "2,1, text", "2,1,text junk", "2,1,te,xt",
+      "-2,+1,number", "2,1,", "2,1", "2,1,  ", "2,1x,text", "",
+  };
+  for (const char* text : kCells) {
+    int r = 0;
+    int c = 0;
+    char word[16] = {0};
+    int scanned = std::sscanf(text, "%d,%d,%15s", &r, &c, word);
+    DirectiveArgs args(text);
+    int pr = 0;
+    int pc = 0;
+    std::string_view pword;
+    bool parsed = args.Int(pr) && args.Int(pc) && args.Word(pword);
+    EXPECT_EQ(parsed, scanned == 3) << "\"" << text << "\"";
+    if (parsed && scanned == 3) {
+      EXPECT_EQ(pr, r) << text;
+      EXPECT_EQ(pc, c) << text;
+      EXPECT_EQ(pword, word) << text;
+    }
+  }
+}
+
+// \shape{line,...}: the kind up to the first comma, then the width and
+// x,y pairs, as the drawing reader's istringstream took them.
+TEST(DirectiveArgs, ShapeFieldsMatchIstringstream) {
+  const char* const kShapes[] = {
+      "line,1,0,0,10,10", "poly,2,5,5,-10,20,30,-40", "line,1,-4,7", "line,1,0,0,10",
+      "line,1", "line,+3, 4,-5", "line,1,0,0,10,10xyz", "line,1,0,0,10,10,",
+      "rect,1,-40,-7,30,12",
+  };
+  for (const char* text : kShapes) {
+    std::istringstream in{std::string(text)};
+    std::string kind;
+    std::getline(in, kind, ',');
+    std::vector<int> expected;
+    int width = 0;
+    if (in >> width) {
+      expected.push_back(width);
+      char comma;
+      int x = 0;
+      int y = 0;
+      while (in >> comma >> x >> comma >> y) {
+        expected.push_back(x);
+        expected.push_back(y);
+      }
+    }
+    DirectiveArgs args(text);
+    std::string_view name;
+    ASSERT_TRUE(args.Name(name));
+    EXPECT_EQ(name, kind) << text;
+    std::vector<int> parsed;
+    int value = 0;
+    if (args.Int(value)) {
+      parsed.push_back(value);
+      int x = 0;
+      int y = 0;
+      while (args.Int(x) && args.Int(y)) {
+        parsed.push_back(x);
+        parsed.push_back(y);
+      }
+    }
+    EXPECT_EQ(parsed, expected) << text;
+  }
+}
+
+TEST(DirectiveArgs, RejectsValuesOutsideTheTargetRange) {
+  const char* const kTooBigForInt[] = {
+      "2147483648", "-2147483649", "99999999999", "+2147483648", "4294967296",
+      "18446744073709551616", "99999999999999999999999",
+  };
+  for (const char* text : kTooBigForInt) {
+    int value = 7;
+    EXPECT_FALSE(DirectiveArgs(text).Int(value)) << text;
+    EXPECT_EQ(value, 7) << "a rejected field must leave its output untouched: " << text;
+  }
+  int value = 0;
+  EXPECT_TRUE(DirectiveArgs("2147483647").Int(value));
+  EXPECT_EQ(value, std::numeric_limits<int>::max());
+  EXPECT_TRUE(DirectiveArgs("-2147483648").Int(value));
+  EXPECT_EQ(value, std::numeric_limits<int>::min());
+
+  int64_t wide = 0;
+  EXPECT_TRUE(DirectiveArgs("-9223372036854775808").Int(wide));
+  EXPECT_EQ(wide, std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(DirectiveArgs("9223372036854775807").Int(wide));
+  EXPECT_EQ(wide, std::numeric_limits<int64_t>::max());
+  EXPECT_FALSE(DirectiveArgs("9223372036854775808").Int(wide));
+  EXPECT_FALSE(DirectiveArgs("-9223372036854775809").Int(wide));
+
+  // A rejected field ends the parse: later fields are not read.
+  DirectiveArgs args("1,99999999999,3");
+  int first = 0;
+  int rest = 0;
+  EXPECT_TRUE(args.Int(first));
+  EXPECT_FALSE(args.Int(rest));
+  EXPECT_FALSE(args.Int(rest));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/apps/ez_app.h"
 #include "src/apps/standard_modules.h"
@@ -239,6 +241,16 @@ TEST_F(PackageTest, StyleEditorRedefinesStylesAcrossAllViews) {
   TextData* back = ObjectCast<TextData>(read.get());
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(back->styles().Get("heading").font.size, size_before + 10);
+  std::vector<std::string> custom;
+  for (const Style* style : back->styles().CustomStyles()) {
+    custom.push_back(style->name);
+  }
+  EXPECT_EQ(custom, (std::vector<std::string>{"default", "heading"}));
+  EXPECT_EQ(WriteDocument(*back), WriteDocument(doc));
+  // The editor restyled this document only.
+  TextData fresh;
+  EXPECT_EQ(fresh.styles().Get("heading").font.size, size_before);
+  EXPECT_TRUE(fresh.styles().CustomStyles().empty());
   text_view.SetText(nullptr);
 }
 

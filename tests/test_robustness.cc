@@ -21,6 +21,8 @@
 #include "src/base/interaction_manager.h"
 #include "src/class_system/loader.h"
 #include "src/components/frame/unknown_view.h"
+#include "src/components/raster/raster_data.h"
+#include "src/components/table/table_data.h"
 #include "src/components/text/text_data.h"
 #include "src/components/text/text_view.h"
 #include "src/datastream/reader.h"
@@ -326,6 +328,69 @@ TEST(WriterDiagnostics, DuplicateCallerIdIsDiagnosed) {
   writer.EndData();
   EXPECT_FALSE(writer.diagnostics().empty());
   EXPECT_FALSE(writer.Finish().ok());
+}
+
+// ---- Hostile dimensions -----------------------------------------------------
+//
+// Tiny documents that declare enormous objects.  Such a \dimensions used to
+// abort the process with std::length_error out of TableData::Resize, and
+// such a \rasterdim allocated ~450 MB; each must read as a diagnostic with
+// nothing allocated for the declared size.
+
+class HostileDimensionsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    RegisterStandardModules();
+    ASSERT_TRUE(Loader::Instance().Require("table"));
+    ASSERT_TRUE(Loader::Instance().Require("raster"));
+  }
+};
+
+TEST_F(HostileDimensionsTest, TableBeyondTheCellCapIsADiagnostic) {
+  const char* const kDimensions[] = {
+      "2000000000,2000000000", "1,2000000000", "0,2000000000", "2000000000,-5", "1024,1025",
+  };
+  for (const char* dims : kDimensions) {
+    ReadContext ctx;
+    std::unique_ptr<DataObject> read = ReadDocument(
+        std::string("\\begindata{table,1}\n\\dimensions{") + dims + "}\n\\enddata{table,1}\n",
+        &ctx);
+    TableData* table = ObjectCast<TableData>(read.get());
+    ASSERT_NE(table, nullptr) << dims;
+    EXPECT_FALSE(ctx.ok()) << dims;
+    EXPECT_EQ(table->rows() * table->cols(), 1) << dims;
+  }
+  // Within the cap, the declared shape is honoured.
+  ReadContext ctx;
+  std::unique_ptr<DataObject> read = ReadDocument(
+      "\\begindata{table,1}\n\\dimensions{100,100}\n\\enddata{table,1}\n", &ctx);
+  TableData* table = ObjectCast<TableData>(read.get());
+  ASSERT_NE(table, nullptr);
+  EXPECT_TRUE(ctx.ok());
+  EXPECT_EQ(table->rows(), 100);
+  EXPECT_EQ(table->cols(), 100);
+}
+
+TEST_F(HostileDimensionsTest, RasterLargerThanItsInputIsADiagnostic) {
+  ReadContext ctx;
+  std::unique_ptr<DataObject> read = ReadDocument(
+      "\\begindata{raster,1}\n\\rasterdim{60000,60000}\n\\enddata{raster,1}\n", &ctx);
+  RasterData* raster = ObjectCast<RasterData>(read.get());
+  ASSERT_NE(raster, nullptr);
+  EXPECT_FALSE(ctx.ok());
+  EXPECT_LE(int64_t{raster->width()} * raster->height(), 16 * 16);
+
+  // Every honest raster fits: its hex rows carry 4 pixels per digit.
+  for (int width : {1, 3, 4, 17, 64}) {
+    RasterData source(width, 5);
+    source.Set(width - 1, 4, true);
+    std::string bytes = WriteDocument(source);
+    ReadContext clean;
+    std::unique_ptr<DataObject> back = ReadDocument(bytes, &clean);
+    ASSERT_NE(back, nullptr);
+    EXPECT_TRUE(clean.ok()) << width;
+    EXPECT_EQ(WriteDocument(*back), bytes) << width;
+  }
 }
 
 // ---- Loader degradation ------------------------------------------------------

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/apps/standard_modules.h"
 #include "src/base/interaction_manager.h"
 #include "src/class_system/loader.h"
@@ -295,6 +298,93 @@ TEST_F(TextDataTest, CustomStyleDefinitionsPersist) {
   EXPECT_EQ(restored.indent_left, 12);
   EXPECT_EQ(restored.justify, Justification::kCenter);
   EXPECT_EQ(back->StyleNameAt(0), "fancy");
+}
+
+// ---- StyleSheet: per-document definitions over the shared standard sheet -----
+
+const std::vector<std::string> kStandardStyleNames = {
+    "bold",    "bolditalic", "center",     "default",   "heading",
+    "italic",  "quotation",  "subheading", "typewriter",
+};
+
+TEST_F(TextDataTest, FreshTextHasOnlyTheStandardStylesAndWritesNone) {
+  TextData fresh;
+  fresh.InsertString(0, "plain prose\n");
+  EXPECT_TRUE(fresh.styles().CustomStyles().empty());
+  EXPECT_EQ(fresh.styles().Names(), kStandardStyleNames);
+  for (const std::string& name : kStandardStyleNames) {
+    EXPECT_TRUE(fresh.styles().Contains(name)) << name;
+    EXPECT_EQ(fresh.styles().Get(name).name, name);
+  }
+  EXPECT_FALSE(fresh.styles().Contains("fancy"));
+  EXPECT_EQ(&fresh.styles().Get("fancy"), &fresh.styles().Get("default"));
+  EXPECT_EQ(fresh.styles().Get("heading").font.size, 20);
+  EXPECT_EQ(WriteDocument(fresh).find("\\definestyle"), std::string::npos);
+}
+
+TEST_F(TextDataTest, DefineRestylesOneDocumentOnly) {
+  TextData other;
+  Style heading = text_.styles().Get("heading");
+  heading.font.size = 40;
+  text_.styles().Define(heading);
+  Style fancy;
+  fancy.name = "fancy";
+  fancy.indent_left = 8;
+  text_.styles().Define(fancy);
+  Style plain = text_.styles().Get("default");
+  plain.font.style = kItalic;
+  text_.styles().Define(plain);
+
+  EXPECT_EQ(text_.styles().Get("heading").font.size, 40);
+  EXPECT_TRUE(text_.styles().Contains("fancy"));
+  // Unknown names resolve to this document's (redefined) default.
+  EXPECT_EQ(text_.styles().Get("nosuch").font.style, unsigned{kItalic});
+  std::vector<std::string> names = kStandardStyleNames;
+  names.insert(names.begin() + 4, "fancy");
+  EXPECT_EQ(text_.styles().Names(), names);
+  std::vector<std::string> custom;
+  for (const Style* style : text_.styles().CustomStyles()) {
+    custom.push_back(style->name);
+  }
+  EXPECT_EQ(custom, (std::vector<std::string>{"default", "fancy", "heading"}));
+
+  // Neither a document that already existed nor one made afterwards (which
+  // would see any change to the shared standard sheet) is touched.
+  TextData later;
+  for (const TextData* untouched : {&other, &later}) {
+    EXPECT_EQ(untouched->styles().Get("heading").font.size, 20);
+    EXPECT_EQ(untouched->styles().Get("default").font.style, unsigned{kPlain});
+    EXPECT_FALSE(untouched->styles().Contains("fancy"));
+    EXPECT_EQ(untouched->styles().Names(), kStandardStyleNames);
+    EXPECT_TRUE(untouched->styles().CustomStyles().empty());
+  }
+
+  // Redefining a standard style back to its standard form makes it
+  // non-custom again.
+  heading.font.size = 20;
+  text_.styles().Define(heading);
+  custom.clear();
+  for (const Style* style : text_.styles().CustomStyles()) {
+    custom.push_back(style->name);
+  }
+  EXPECT_EQ(custom, (std::vector<std::string>{"default", "fancy"}));
+}
+
+TEST_F(TextDataTest, GetReferenceSurvivesARedefinitionOfTheSameName) {
+  Style fancy;
+  fancy.name = "fancy";
+  fancy.indent_left = 4;
+  text_.styles().Define(fancy);
+  const Style& held = text_.styles().Get("fancy");
+  fancy.indent_left = 9;
+  text_.styles().Define(fancy);
+  for (const char* name : {"aaa", "zzz", "heading", "default"}) {
+    Style filler;
+    filler.name = name;
+    text_.styles().Define(filler);
+  }
+  EXPECT_EQ(&held, &text_.styles().Get("fancy"));
+  EXPECT_EQ(held.indent_left, 9);
 }
 
 // The style at `pos` by definition: the first run in style_runs() order
