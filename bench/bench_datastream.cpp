@@ -12,9 +12,9 @@
 #include "src/base/data_object.h"
 #include "src/class_system/loader.h"
 #include "src/components/text/gap_buffer.h"
-#include "src/datastream/baseline_reader.h"
 #include "src/observability/memory.h"
 #include "src/workload/workload.h"
+#include "tests/baseline_reader.h"
 
 namespace atk {
 namespace {
@@ -73,7 +73,7 @@ void BM_ReadDocumentBySize(benchmark::State& state) {
     benchmark::DoNotOptimize(read);
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(serialized.size()));
-  // Bytes-per-document gate (check_perf.sh): peak accounted bytes one decode
+  // Bytes-per-document gate (perf_baseline.json): peak accounted bytes one decode
   // of the 256-paragraph corpus adds on top of whatever is already live.
   if (state.range(0) == 256) {
     using atk::observability::MemoryAccountant;
@@ -93,7 +93,7 @@ void BM_ReadDocumentBySize(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadDocumentBySize)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The identical loop with the accountant switched off: check_perf.sh holds
+// The identical loop with the accountant switched off: a perf gate holds
 // the accounted run within 2% of this one (same process, same corpus), the
 // instrumentation's whole-path overhead budget.  Everything this loop
 // charges/releases happens inside the disabled window, so the gauges stay
@@ -114,11 +114,12 @@ void BM_ReadDocumentBySize_Unaccounted(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadDocumentBySize_Unaccounted)->Arg(256);
 
-// The pre-PR-5 copying ingestion path, kept in-tree (baseline_reader.h) the
-// way PR 3 kept the flat-rect region algorithm: the old lexer accumulates
-// every text token into an owning std::string byte by byte, and the document
-// body lands in the gap buffer one fragment at a time.  check_perf.sh pins
-// BM_ReadDocumentBySize/256 at >= 3x the throughput of this baseline.
+// The pre-PR-5 copying ingestion path (tests/baseline_reader.h, the test
+// oracle compiled into this bench and the differential test only): the old
+// lexer accumulates every text token into an owning std::string byte by
+// byte, and the document body lands in the gap buffer one fragment at a
+// time.  A gate line in perf_baseline.json pins BM_ReadDocumentBySize/256 at
+// >= 3x the throughput of this baseline.
 void BM_ReadDocumentBySize_Baseline(benchmark::State& state) {
   Setup();
   WorkloadRng rng(7);

@@ -15,7 +15,7 @@
 //                           go-back-N, resync)
 //
 // Beyond the wall-time rows, the observability snapshot contributes the
-// acceptance numbers check_perf.sh gates on:
+// acceptance numbers the perf gates (perf_baseline.json) bound:
 //   gauge/scenario.bench.typescript_lines_per_sec
 //   gauge/scenario.bench.mail_docs_per_sec
 //   gauge/scenario.bench.replay_fanout_p99_us

@@ -14,7 +14,7 @@
 //   gauge/server.bench.fanout_traced_p99_us      — same loop with tracing on
 // which is where the acceptance numbers live.  BM_EditFanOut_Traced runs the
 // identical workload with span recording and flow ids enabled, so the
-// traced/untraced ratio is the tracing overhead check_perf.sh gates on.
+// traced/untraced ratio is the tracing overhead the perf gates bound.
 
 #include <benchmark/benchmark.h>
 
@@ -189,7 +189,7 @@ void RunEditFanOut(benchmark::State& state, bool traced) {
                       : "server.bench.fanout_p99_us")
         .SetMax(static_cast<int64_t>(per_edit_ns[idx] / 1000.0));
   }
-  // Bytes-per-session gate (check_perf.sh): peak accounted bytes the whole
+  // Bytes-per-session gate (perf_baseline.json): peak accounted bytes the whole
   // fleet added over the run, amortized per session.  Skipped when the
   // accountant is off (the Unaccounted overhead variant would record ~0).
   if (!traced && sessions == 256 && atk::observability::MemoryAccountingEnabled()) {
@@ -206,7 +206,7 @@ BENCHMARK(BM_EditFanOut)->Arg(64)->Arg(256);
 void BM_EditFanOut_Traced(benchmark::State& state) { RunEditFanOut(state, true); }
 BENCHMARK(BM_EditFanOut_Traced)->Arg(64)->Arg(256);
 
-// The untraced fan-out with the memory accountant off: check_perf.sh holds
+// The untraced fan-out with the memory accountant off: a perf gate holds
 // BM_EditFanOut/256 within 2% of this run.  The fleet is created and
 // destroyed entirely inside the disabled window, so every charge pairs with
 // its release and the gauges stay exact when accounting resumes.

@@ -33,7 +33,8 @@
 // Behavioural identity with the pre-rewrite lexer (token boundaries, token
 // bytes, diagnostics, recovery) is pinned by the 64-seed differential sweep
 // in tests/test_datastream_differential.cc against the frozen
-// BaselineDataStreamReader.
+// BaselineDataStreamReader, a test oracle kept in tests/baseline_reader.h
+// and compiled into no toolkit library.
 
 #ifndef ATK_SRC_DATASTREAM_READER_H_
 #define ATK_SRC_DATASTREAM_READER_H_

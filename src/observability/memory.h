@@ -70,7 +70,7 @@ namespace observability {
 // The process-wide accounting switch, exposed directly so Charge() inlines
 // its fast path to a relaxed load plus a branch.  On by default; the bench
 // harness flips it off to measure the accountant's own overhead (the
-// check_perf.sh accounted-vs-unaccounted gate).  Toggling while charges
+// accounted-vs-unaccounted perf gates).  Toggling while charges
 // are outstanding skews gauges until the pools turn over — flip it only
 // around paired create/destroy cycles.
 extern std::atomic<bool> g_mem_accounting;

@@ -207,7 +207,7 @@ void DocumentServer::PumpEndpoint(Endpoint& endpoint) {
     endpoint.next_evict_notice_at = now + kEvictNoticeIntervalTicks;
   }
   // Publish per-session telemetry (four relaxed stores; the inspector's
-  // server panel and check_perf read these from the metrics snapshot).
+  // server panel reads these from the metrics snapshot).
   endpoint.rtt_gauge->Set(static_cast<int64_t>(endpoint.channel->rtt_estimate_ticks()));
   endpoint.retransmit_gauge->Set(static_cast<int64_t>(endpoint.channel->stats().retransmits));
   endpoint.queue_gauge->Set(static_cast<int64_t>(endpoint.channel->pending()));

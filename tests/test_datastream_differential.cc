@@ -13,10 +13,10 @@
 
 #include "src/apps/standard_modules.h"
 #include "src/class_system/loader.h"
-#include "src/datastream/baseline_reader.h"
 #include "src/datastream/reader.h"
 #include "src/robustness/salvage.h"
 #include "src/workload/corruption.h"
+#include "tests/baseline_reader.h"
 
 namespace atk {
 namespace {

@@ -1,7 +1,8 @@
 // Minimal strict JSON parser shared by test binaries.
 //
 // Just enough to validate JSON emitted by the toolkit (TraceExport's
-// Perfetto stream, the bench metric lines) without an external dependency:
+// Perfetto stream, the bench metric lines) and to read the perf gate file
+// (bench/perf_gates.h) without an external dependency:
 // objects, arrays, strings with the standard escapes, numbers, booleans,
 // null.  Strictness matters — a trailing comma or stray byte must fail the
 // test, not slide through into a downstream consumer.
