@@ -76,8 +76,8 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
 
 #define ATK_BENCH_MAIN(bench_name)                                          \
   int main(int argc, char** argv) {                                         \
-    /* Env plumbing (ATK_TRACE, ATK_MEM_BUDGET, ATK_MEM_SNAPSHOT) applies  \
-       to every bench binary, windowed or not. */                           \
+    /* Env plumbing (ATK_TRACE, ATK_MEM_SNAPSHOT) applies to every bench   \
+       binary, windowed or not. */                                          \
     ::atk::observability::InitFromEnv();                                    \
     ::benchmark::Initialize(&argc, argv);                                   \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;     \

@@ -144,6 +144,7 @@ void RunEditFanOut(benchmark::State& state, bool traced) {
     fleet.Step();
   }
   const bool was_tracing = atk::observability::Enabled();
+  const bool had_flows = atk::observability::FlowsEnabled();
   if (traced) {
     atk::observability::Tracer::Instance().SetEnabled(true);
     atk::observability::Tracer::Instance().SetFlowsEnabled(true);
@@ -177,7 +178,7 @@ void RunEditFanOut(benchmark::State& state, bool traced) {
             .count());
   }
   if (traced) {
-    atk::observability::Tracer::Instance().SetFlowsEnabled(false);
+    atk::observability::Tracer::Instance().SetFlowsEnabled(had_flows);
     atk::observability::Tracer::Instance().SetEnabled(was_tracing);
   }
   if (!per_edit_ns.empty()) {

@@ -18,15 +18,9 @@ namespace {
 // ClassInfo and the byte extent of the body it was decoded from; ~DataObject
 // unregisters.  The registry stores the ClassInfo pointer (leaked statics)
 // at registration time, so the census never makes a virtual call on a live
-// object — a concurrently-destructing instance cannot race it.
-
-observability::MemoryAccount& DataObjectMemAccount() {
-  // Overlay: decoded body bytes live in the components' own storage (gap
-  // buffers, cell vectors), which their accounts count exclusively.
-  static observability::MemoryAccount& account =
-      observability::MemoryAccountant::Instance().overlay("base.mem.dataobject");
-  return account;
-}
+// object — a concurrently-destructing instance cannot race it.  The body
+// bytes are reported only as census rows: they live in the components' own
+// storage (gap buffers, cell vectors), which their accounts already charge.
 
 struct LiveObjectRegistry {
   std::mutex mu;
@@ -61,8 +55,7 @@ std::vector<observability::CensusRow> DataObjectCensus() {
 
 void EnsureMemoryHooks() {
   static bool once = [] {
-    observability::MemoryAccountant::Instance().RegisterCensusSource("dataobject",
-                                                                    &DataObjectCensus);
+    observability::SetCensusFunction(&DataObjectCensus);
     observability::InstallMemSnapshotWriter();
     return true;
   }();
@@ -73,29 +66,13 @@ void RegisterDecodedObject(const DataObject* object, size_t body_bytes) {
   EnsureMemoryHooks();
   LiveObjectRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  auto [it, inserted] =
-      registry.live.emplace(object, std::make_pair(&object->GetClassInfo(), body_bytes));
-  if (inserted) {
-    DataObjectMemAccount().Charge(static_cast<int64_t>(body_bytes));
-  }
+  registry.live.emplace(object, std::make_pair(&object->GetClassInfo(), body_bytes));
 }
 
 void UnregisterDecodedObject(const DataObject* object) {
-  size_t bytes = 0;
-  bool found = false;
-  {
-    LiveObjectRegistry& registry = Registry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    auto it = registry.live.find(object);
-    if (it != registry.live.end()) {
-      bytes = it->second.second;
-      found = true;
-      registry.live.erase(it);
-    }
-  }
-  if (found) {
-    DataObjectMemAccount().Release(static_cast<int64_t>(bytes));
-  }
+  LiveObjectRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.live.erase(object);
 }
 
 }  // namespace

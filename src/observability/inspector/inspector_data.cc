@@ -248,22 +248,19 @@ void InspectorData::RebuildSessionsTable() {
 }
 
 void InspectorData::RebuildMemoryTable() {
-  // The accountant is the authority here (not the gauge snapshot): it knows
-  // which accounts are overlays, carries the budget, and folds in the live
-  // DataObject census — none of which the flat gauge list can express.
+  // The accountant is the authority here (not the gauge snapshot): it folds
+  // in the live DataObject census, which the flat gauge list cannot express.
   observability::MemorySnapshot mem =
       observability::MemoryAccountant::Instance().SnapshotMemory();
   memory_total_bytes_ = mem.total_bytes;
   memory_peak_bytes_ = mem.peak_bytes;
-  memory_budget_bytes_ = mem.budget_bytes;
   int rows = static_cast<int>(mem.accounts.size() + mem.census.size());
   if (memory_table_->rows() != rows || memory_table_->cols() != 3) {
     memory_table_->Resize(rows, 3);
   }
   int row = 0;
   for (const observability::MemoryAccountSample& account : mem.accounts) {
-    memory_table_->SetText(row, 0,
-                           account.overlay ? account.name + " (overlay)" : account.name);
+    memory_table_->SetText(row, 0, account.name);
     memory_table_->SetNumber(row, 1, static_cast<double>(account.current_bytes));
     memory_table_->SetNumber(row, 2, static_cast<double>(account.peak_bytes));
     ++row;

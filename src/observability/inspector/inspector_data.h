@@ -146,16 +146,15 @@ class InspectorData : public DataObject {
 
   // ---- Memory panel sources --------------------------------------------------
   // The heap census: one row per MemoryAccount (name, current bytes, peak
-  // bytes; overlay accounts marked in the name) followed by the top live
-  // DataObject classes from the census sources (name, bytes, count).  The
-  // chart plots current bytes over the account rows only, so the biggest
-  // pool stands out.  Totals for the header are kept alongside.
+  // bytes) followed by the top live DataObject classes from the census
+  // (name, bytes, count).  The chart plots current bytes over the account
+  // rows only, so the biggest pool stands out.  Totals for the header are
+  // kept alongside.
   TableData* memory_table() { return memory_table_.get(); }
   ChartData* memory_chart() { return memory_chart_.get(); }
   int memory_row_count() const { return memory_row_count_; }
   int64_t memory_total_bytes() const { return memory_total_bytes_; }
   int64_t memory_peak_bytes() const { return memory_peak_bytes_; }
-  uint64_t memory_budget_bytes() const { return memory_budget_bytes_; }
 
   // ---- Datastream ------------------------------------------------------------
   // Persists the configuration (cadence, budget), not the live capture — a
@@ -199,7 +198,6 @@ class InspectorData : public DataObject {
   int memory_row_count_ = 0;
   int64_t memory_total_bytes_ = 0;
   int64_t memory_peak_bytes_ = 0;
-  uint64_t memory_budget_bytes_ = 0;
   // Watermarks for the server flight trigger: the ring is frozen whenever
   // either counter advances past the value seen at the previous capture.
   uint64_t last_evictions_ = 0;

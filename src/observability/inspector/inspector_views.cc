@@ -316,7 +316,7 @@ void MemoryPanelView::Layout() {
     return;
   }
   EnsureChildren();
-  // One header line (totals + budget), then the accounts table left of its
+  // One header line (totals), then the accounts table left of its
   // pool-bytes chart, same split as the other panels.
   Rect local = graphic()->LocalBounds();
   int header = LineHeight() + 2;
@@ -340,20 +340,9 @@ void MemoryPanelView::FullUpdate() {
     return;
   }
   char header[160];
-  if (data->memory_budget_bytes() > 0) {
-    std::snprintf(header, sizeof(header),
-                  "memory: %s now, %s peak, budget %s  (%d pools: cur  peak)",
-                  FormatBytes(data->memory_total_bytes()).c_str(),
-                  FormatBytes(data->memory_peak_bytes()).c_str(),
-                  FormatBytes(static_cast<int64_t>(data->memory_budget_bytes())).c_str(),
-                  data->memory_row_count());
-  } else {
-    std::snprintf(header, sizeof(header),
-                  "memory: %s now, %s peak, no budget  (%d pools: cur  peak)",
-                  FormatBytes(data->memory_total_bytes()).c_str(),
-                  FormatBytes(data->memory_peak_bytes()).c_str(),
-                  data->memory_row_count());
-  }
+  std::snprintf(header, sizeof(header), "memory: %s now, %s peak  (%d pools: cur  peak)",
+                FormatBytes(data->memory_total_bytes()).c_str(),
+                FormatBytes(data->memory_peak_bytes()).c_str(), data->memory_row_count());
   g->DrawString(Point{4, 2}, header);
   if (table_view_ != nullptr) {
     g->DrawLine(Point{table_view_->bounds().width, table_view_->bounds().y},

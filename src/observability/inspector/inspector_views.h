@@ -19,7 +19,7 @@
 //     or resync capture is visible the moment it fires.
 //   * MemoryPanelView — the heap census: per-pool accounts (current/peak
 //     bytes) and the live DataObject classes beside a bar chart of pool
-//     bytes, with process total/peak and the ATK_MEM_BUDGET in the header.
+//     bytes, with the process total/peak in the header.
 //
 // InspectorRootView stacks the five into the inspector window.
 

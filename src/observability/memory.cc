@@ -1,7 +1,6 @@
 #include "src/observability/memory.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,8 +15,7 @@ void SetMemoryAccountingEnabled(bool enabled) {
 
 // ---- MemoryAccount ---------------------------------------------------------
 
-MemoryAccount::MemoryAccount(std::string name, bool overlay)
-    : name_(std::move(name)), overlay_(overlay) {
+MemoryAccount::MemoryAccount(std::string name) : name_(std::move(name)) {
   MetricsRegistry& reg = MetricsRegistry::Instance();
   current_ = &reg.gauge(name_ + "_bytes");
   peak_ = &reg.gauge(name_ + "_peak_bytes");
@@ -28,131 +26,14 @@ void MemoryAccount::Charge(int64_t bytes) {
   if (bytes == 0 || !MemoryAccountingEnabled()) {
     return;
   }
+  MemoryAccountant& accountant = MemoryAccountant::Instance();
+  Gauge& total = accountant.total_gauge();
   current_->Add(bytes);
+  total.Add(bytes);
   if (bytes > 0) {
     peak_->SetMax(current_->value());
     charged_->Add(static_cast<uint64_t>(bytes));
-  }
-  if (!overlay_) {
-    MemoryAccountant& accountant = MemoryAccountant::Instance();
-    Gauge& total = accountant.total_gauge();
-    total.Add(bytes);
-    int64_t now = total.value();
-    if (bytes > 0) {
-      accountant.peak_gauge().SetMax(now);
-    }
-    accountant.budget_monitor().Observe(now);
-  }
-}
-
-// ---- BudgetMonitor ---------------------------------------------------------
-
-namespace {
-// Suppresses nested Observe() while a pressure callback runs on this thread
-// (an evictor releasing bytes would otherwise deadlock on mu_).
-thread_local bool tls_in_pressure_callback = false;
-}  // namespace
-
-void BudgetMonitor::SetBudget(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  budget_ = bytes;
-  Rebuild();
-}
-
-uint64_t BudgetMonitor::budget() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return budget_;
-}
-
-int BudgetMonitor::AddCallback(double fraction, PressureCallback callback) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Threshold threshold;
-  threshold.id = next_id_++;
-  threshold.fraction = std::clamp(fraction, 1e-9, 8.0);
-  threshold.callback = std::move(callback);
-  thresholds_.push_back(std::move(threshold));
-  std::stable_sort(thresholds_.begin(), thresholds_.end(),
-                   [](const Threshold& a, const Threshold& b) {
-                     return a.fraction < b.fraction;
-                   });
-  int id = next_id_ - 1;
-  Rebuild();
-  return id;
-}
-
-void BudgetMonitor::RemoveCallback(int id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  thresholds_.erase(std::remove_if(thresholds_.begin(), thresholds_.end(),
-                                   [id](const Threshold& t) { return t.id == id; }),
-                    thresholds_.end());
-  Rebuild();
-}
-
-void BudgetMonitor::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  thresholds_.clear();
-  budget_ = 0;
-  Rebuild();
-}
-
-void BudgetMonitor::Rebuild() {
-  int64_t fire = INT64_MAX;
-  int64_t rearm = INT64_MIN;
-  for (Threshold& threshold : thresholds_) {
-    threshold.bytes =
-        budget_ == 0 ? INT64_MAX
-                     : static_cast<int64_t>(threshold.fraction *
-                                            static_cast<double>(budget_));
-    if (budget_ == 0) {
-      threshold.fired = false;
-      continue;
-    }
-    if (!threshold.fired) {
-      fire = std::min(fire, threshold.bytes);
-    } else {
-      rearm = std::max(rearm, threshold.bytes);
-    }
-  }
-  next_fire_.store(fire, std::memory_order_relaxed);
-  next_rearm_.store(rearm, std::memory_order_relaxed);
-}
-
-void BudgetMonitor::Observe(int64_t total) {
-  if (total < next_fire_.load(std::memory_order_relaxed) &&
-      total >= next_rearm_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  if (tls_in_pressure_callback) {
-    return;  // An evictor's own charges settle on its next outer charge.
-  }
-  std::vector<std::pair<PressureCallback, PressureEvent>> to_fire;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (budget_ == 0) {
-      return;
-    }
-    for (Threshold& threshold : thresholds_) {  // Ascending by fraction.
-      if (!threshold.fired && total >= threshold.bytes) {
-        threshold.fired = true;
-        PressureEvent event;
-        event.fraction = threshold.fraction;
-        event.budget = budget_;
-        event.total = total;
-        to_fire.emplace_back(threshold.callback, event);
-      } else if (threshold.fired && total < threshold.bytes) {
-        threshold.fired = false;
-      }
-    }
-    Rebuild();
-  }
-  if (!to_fire.empty()) {
-    tls_in_pressure_callback = true;
-    for (auto& [callback, event] : to_fire) {
-      if (callback) {
-        callback(event);
-      }
-    }
-    tls_in_pressure_callback = false;
+    accountant.peak_gauge().SetMax(total.value());
   }
 }
 
@@ -169,24 +50,16 @@ MemoryAccountant& MemoryAccountant::Instance() {
   return *accountant;
 }
 
-MemoryAccount& MemoryAccountant::LookUp(std::string_view name, bool overlay) {
+MemoryAccount& MemoryAccountant::account(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = accounts_.find(name);
   if (it == accounts_.end()) {
     it = accounts_
-             .emplace(std::string(name), std::unique_ptr<MemoryAccount>(
-                                             new MemoryAccount(std::string(name), overlay)))
+             .emplace(std::string(name),
+                      std::unique_ptr<MemoryAccount>(new MemoryAccount(std::string(name))))
              .first;
   }
   return *it->second;
-}
-
-MemoryAccount& MemoryAccountant::account(std::string_view name) {
-  return LookUp(name, /*overlay=*/false);
-}
-
-MemoryAccount& MemoryAccountant::overlay(std::string_view name) {
-  return LookUp(name, /*overlay=*/true);
 }
 
 void MemoryAccountant::ResetPeaks() {
@@ -197,47 +70,18 @@ void MemoryAccountant::ResetPeaks() {
   peak_->Set(total_->value());
 }
 
-void MemoryAccountant::RegisterCensusSource(std::string name,
-                                            std::function<std::vector<CensusRow>()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [existing, unused] : census_) {
-    if (existing == name) {
-      return;
-    }
-  }
-  census_.emplace_back(std::move(name), std::move(fn));
-}
+namespace {
 
-std::vector<CensusRow> MemoryAccountant::RunCensus(size_t top_n) const {
-  std::vector<std::function<std::vector<CensusRow>()>> sources;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sources.reserve(census_.size());
-    for (const auto& [name, fn] : census_) {
-      sources.push_back(fn);
-    }
-  }
-  std::vector<CensusRow> rows;
-  for (const auto& fn : sources) {
-    std::vector<CensusRow> part = fn();
-    rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                std::make_move_iterator(part.end()));
-  }
-  std::stable_sort(rows.begin(), rows.end(), [](const CensusRow& a, const CensusRow& b) {
-    if (a.bytes != b.bytes) {
-      return a.bytes > b.bytes;
-    }
-    return a.count > b.count;
-  });
-  if (rows.size() > top_n) {
-    rows.resize(top_n);
-  }
-  return rows;
+std::atomic<std::vector<CensusRow> (*)()> g_census{nullptr};
+
+}  // namespace
+
+void SetCensusFunction(std::vector<CensusRow> (*census)()) {
+  g_census.store(census, std::memory_order_release);
 }
 
 MemorySnapshot MemoryAccountant::SnapshotMemory(size_t census_top_n) const {
   MemorySnapshot snap;
-  snap.budget_bytes = budget_.budget();
   snap.total_bytes = total();
   snap.peak_bytes = peak();
   {
@@ -246,14 +90,25 @@ MemorySnapshot MemoryAccountant::SnapshotMemory(size_t census_top_n) const {
     for (const auto& [name, account] : accounts_) {  // Map order == sorted.
       MemoryAccountSample sample;
       sample.name = name;
-      sample.overlay = account->overlay();
       sample.current_bytes = account->current();
       sample.peak_bytes = account->peak();
       sample.charged_bytes = account->charged();
       snap.accounts.push_back(std::move(sample));
     }
   }
-  snap.census = RunCensus(census_top_n);
+  if (auto* census = g_census.load(std::memory_order_acquire)) {
+    snap.census = census();
+    std::stable_sort(snap.census.begin(), snap.census.end(),
+                     [](const CensusRow& a, const CensusRow& b) {
+                       if (a.bytes != b.bytes) {
+                         return a.bytes > b.bytes;
+                       }
+                       return a.count > b.count;
+                     });
+    if (snap.census.size() > census_top_n) {
+      snap.census.resize(census_top_n);
+    }
+  }
   return snap;
 }
 
@@ -263,16 +118,11 @@ std::string MemoryToText(const MemorySnapshot& snap) {
   std::string out;
   out += "== atk memory snapshot ==\n";
   out += "total " + std::to_string(snap.total_bytes) + " bytes, peak " +
-         std::to_string(snap.peak_bytes) + " bytes";
-  if (snap.budget_bytes > 0) {
-    out += ", budget " + std::to_string(snap.budget_bytes) + " bytes";
-  }
-  out += "\n";
+         std::to_string(snap.peak_bytes) + " bytes\n";
   if (!snap.accounts.empty()) {
     out += "-- accounts (current/peak/charged bytes) --\n";
     for (const MemoryAccountSample& account : snap.accounts) {
-      out += account.name + (account.overlay ? " (overlay) " : " ") +
-             std::to_string(account.current_bytes) + "/" +
+      out += account.name + " " + std::to_string(account.current_bytes) + "/" +
              std::to_string(account.peak_bytes) + "/" +
              std::to_string(account.charged_bytes) + "\n";
     }
@@ -288,42 +138,6 @@ std::string MemoryToText(const MemorySnapshot& snap) {
 }
 
 // ---- Env wiring ------------------------------------------------------------
-
-bool ParseByteSize(std::string_view text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t multiplier = 1;
-  char last = text.back();
-  switch (std::tolower(static_cast<unsigned char>(last))) {
-    case 'k':
-      multiplier = uint64_t{1} << 10;
-      text.remove_suffix(1);
-      break;
-    case 'm':
-      multiplier = uint64_t{1} << 20;
-      text.remove_suffix(1);
-      break;
-    case 'g':
-      multiplier = uint64_t{1} << 30;
-      text.remove_suffix(1);
-      break;
-    default:
-      break;
-  }
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char ch : text) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-  }
-  *out = value * multiplier;
-  return true;
-}
 
 namespace {
 
@@ -370,12 +184,6 @@ bool WriteMemSnapshotFile(const std::string& path) {
 
 void MemoryInitFromEnv() {
   static bool applied = [] {
-    if (const char* budget = std::getenv("ATK_MEM_BUDGET")) {
-      uint64_t bytes = 0;
-      if (ParseByteSize(budget, &bytes)) {
-        MemoryAccountant::Instance().budget_monitor().SetBudget(bytes);
-      }
-    }
     if (const char* path = std::getenv("ATK_MEM_SNAPSHOT")) {
       if (path[0] != '\0') {
         SnapshotPath() = path;

@@ -5,11 +5,11 @@
 // buffers under the text component, the datastream reader's pinned buffer
 // and unescape arena, Region band storage, the tracer's per-thread span rings
 // (including generations retired by SetCapacity/Clear, which are leaked on
-// purpose), and the server channels' send/retransmit queues.  Before this
-// module none of that was visible, so no eviction or budget policy could be
-// built or validated (the ROADMAP's lazy-decode item needs exactly that).
+// purpose), and the server channels' send/retransmit queues.  This module
+// makes each pool a named account, so the bytes a document or a session
+// costs are visible per layer and can be gated by the benches.
 //
-// Three primitives:
+// Two primitives:
 //
 //   * MemoryAccount — one named pool.  `name` follows the metric convention
 //     as `<layer>.mem.<account>`; the account publishes three metrics in
@@ -22,28 +22,18 @@
 //     move, and Resize() re-charges the delta when a container grows or
 //     shrinks.  The member-object pattern gives a pool owner exact
 //     charge/release pairing with no explicit destructor logic.
-//   * BudgetMonitor — ATK_MEM_BUDGET plumbing.  A budget in bytes plus
-//     registered pressure callbacks at fractional thresholds; callbacks
-//     fire in ascending threshold order when the process total crosses a
-//     threshold upward, re-arm when it falls back below.  The hot path adds
-//     two relaxed loads to Charge(); everything else happens only while a
-//     threshold is actually crossing.
 //
-// Accounts are *exclusive* by default: their bytes are owned storage and
-// roll into the process totals (`obs.mem.total_bytes` /
-// `obs.mem.peak_bytes`).  An *overlay* account tracks bytes that alias
-// storage already counted elsewhere (decoded DataObject body bytes live in
-// gap buffers) — overlays publish the same three metrics but are excluded
-// from the totals, so the totals stay comparable to an external allocator
-// oracle (tested to within 10% on the 256-paragraph corpus).
+// Every account owns its storage and rolls into the process totals
+// (`obs.mem.total_bytes` / `obs.mem.peak_bytes`), which stay comparable to
+// an external allocator oracle (tested to within 10% on the 256-paragraph
+// corpus).
 //
-// Census sources extend the accounts with a live-object census: a
-// registered source (the DataObject registry in src/base) reports
-// count/bytes rows by class, and SnapshotMemory() folds the top-N rows
-// into a MemorySnapshot.  src/observability/memsnapshot_component.h
-// serializes that snapshot as a `\begindata{memsnapshot,...}` document so
-// a heap census round-trips through the §5 reader/writer/salvager like any
-// other component.
+// A live-object census complements the accounts: the DataObject registry in
+// src/base installs a census function that reports count/bytes rows by
+// class, and SnapshotMemory() folds the top-N rows into a MemorySnapshot.
+// src/observability/memsnapshot_component.h serializes that snapshot as a
+// `\begindata{memsnapshot,...}` document so a heap census round-trips
+// through the §5 reader/writer/salvager like any other component.
 //
 // Like observability.h, this header depends on nothing but the standard
 // library: it sits below class_system so every layer can charge bytes
@@ -54,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,17 +74,15 @@ void SetMemoryAccountingEnabled(bool enabled);
 
 class MemoryAccountant;
 
-// One named allocation pool.  Create through MemoryAccountant::account()
-// (exclusive) or MemoryAccountant::overlay(); the object never moves, so
-// call sites cache a reference in a function-local static.
+// One named allocation pool.  Create through MemoryAccountant::account();
+// the object never moves, so call sites cache a reference in a
+// function-local static.
 class MemoryAccount {
  public:
   const std::string& name() const { return name_; }
-  bool overlay() const { return overlay_; }
 
   // Adjusts the pool size by `bytes` (negative to release).  Updates the
-  // current/peak gauges, the charged counter, and — for exclusive accounts
-  // — the process totals and the budget monitor.
+  // current/peak gauges, the charged counter and the process totals.
   void Charge(int64_t bytes);
   void Release(int64_t bytes) { Charge(-bytes); }
 
@@ -105,10 +92,9 @@ class MemoryAccount {
 
  private:
   friend class MemoryAccountant;
-  MemoryAccount(std::string name, bool overlay);
+  explicit MemoryAccount(std::string name);
 
   std::string name_;
-  bool overlay_ = false;
   Gauge* current_ = nullptr;   // <name>_bytes
   Gauge* peak_ = nullptr;      // <name>_peak_bytes
   Counter* charged_ = nullptr; // <name>_charged_bytes
@@ -162,62 +148,6 @@ class ScopedCharge {
   int64_t bytes_ = 0;
 };
 
-// ---- Budget ----------------------------------------------------------------
-
-struct PressureEvent {
-  double fraction = 0.0;   // The threshold that crossed (fraction of budget).
-  uint64_t budget = 0;     // Budget in bytes at firing time.
-  int64_t total = 0;       // Process total that crossed it.
-};
-
-using PressureCallback = std::function<void(const PressureEvent&)>;
-
-// Watches the exclusive-account process total against a byte budget.
-// Thresholds are fractions of the budget; each fires once per upward
-// crossing (ascending order when one charge crosses several at once) and
-// re-arms when the total falls back below it.  Callbacks run outside the
-// monitor's lock, on the charging thread; a callback that itself charges
-// or releases (an evictor) is re-entered safely (nested observation is
-// suppressed on the firing thread).
-class BudgetMonitor {
- public:
-  // 0 disables the budget (no thresholds ever fire).
-  void SetBudget(uint64_t bytes);
-  uint64_t budget() const;
-
-  // Registers `callback` at `fraction` (clamped to (0, 8]); returns an id
-  // for RemoveCallback.  Fractions above 1 are legal (runaway alarms).
-  int AddCallback(double fraction, PressureCallback callback);
-  void RemoveCallback(int id);
-
-  // Drops every callback and the budget (test hygiene).
-  void Clear();
-
-  // Called by MemoryAccount::Charge with the new exclusive total.  The
-  // fast path is two relaxed loads.
-  void Observe(int64_t total);
-
- private:
-  struct Threshold {
-    int id = 0;
-    double fraction = 0.0;
-    int64_t bytes = 0;
-    bool fired = false;
-    PressureCallback callback;
-  };
-
-  void Rebuild();  // Recomputes bytes/next_fire_/next_rearm_ (mu_ held).
-
-  mutable std::mutex mu_;
-  uint64_t budget_ = 0;
-  int next_id_ = 1;
-  std::vector<Threshold> thresholds_;  // Sorted by fraction ascending.
-  // Fast-path bounds: fire when total >= next_fire_, re-arm when total <
-  // next_rearm_.  INT64_MAX / INT64_MIN mean "never".
-  std::atomic<int64_t> next_fire_{INT64_MAX};
-  std::atomic<int64_t> next_rearm_{INT64_MIN};
-};
-
 // ---- Census ----------------------------------------------------------------
 
 // One census row: a class (or pool) name with live-instance count and an
@@ -232,15 +162,13 @@ struct CensusRow {
 
 struct MemoryAccountSample {
   std::string name;
-  bool overlay = false;
   int64_t current_bytes = 0;
   int64_t peak_bytes = 0;
   uint64_t charged_bytes = 0;
 };
 
 struct MemorySnapshot {
-  uint64_t budget_bytes = 0;   // 0 = no budget.
-  int64_t total_bytes = 0;     // Exclusive accounts only.
+  int64_t total_bytes = 0;
   int64_t peak_bytes = 0;
   std::vector<MemoryAccountSample> accounts;  // Sorted by name.
   std::vector<CensusRow> census;              // Top-N by bytes, descending.
@@ -255,12 +183,10 @@ class MemoryAccountant {
   // Looks up (creating on first use) the named account.  `name` must follow
   // `<layer>.mem.<account>` (lower-case segments); the `_bytes` metric
   // suffixes are appended here, never by callers.  The same name always
-  // yields the same object, and the exclusive/overlay kind is fixed by the
-  // first call.
+  // yields the same object.
   MemoryAccount& account(std::string_view name);
-  MemoryAccount& overlay(std::string_view name);
 
-  // Process totals over exclusive accounts (mirrors obs.mem.total_bytes /
+  // Process totals over every account (mirrors obs.mem.total_bytes /
   // obs.mem.peak_bytes).
   int64_t total() const { return total_gauge().value(); }
   int64_t peak() const { return peak_gauge().value(); }
@@ -269,18 +195,8 @@ class MemoryAccountant {
   // bench hygiene, so per-phase peaks are measurable.
   void ResetPeaks();
 
-  BudgetMonitor& budget_monitor() { return budget_; }
-
-  // Registers a census source: `fn` returns live-object rows on demand
-  // (called by SnapshotMemory with no accountant locks held beyond the
-  // source list).  Registration is idempotent per name.
-  void RegisterCensusSource(std::string name, std::function<std::vector<CensusRow>()> fn);
-
-  // Runs every census source and returns the merged rows, largest byte
-  // footprint first, truncated to `top_n`.
-  std::vector<CensusRow> RunCensus(size_t top_n) const;
-
-  // Freezes accounts + budget + census into one snapshot.
+  // Freezes accounts + totals into one snapshot, with the installed census
+  // function's rows (largest byte footprint first, at most `census_top_n`).
   MemorySnapshot SnapshotMemory(size_t census_top_n = 16) const;
 
   // Internal: the shared totals, cached by MemoryAccount.
@@ -289,22 +205,21 @@ class MemoryAccountant {
 
  private:
   MemoryAccountant();
-  MemoryAccount& LookUp(std::string_view name, bool overlay);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<MemoryAccount>, std::less<>> accounts_;
-  std::vector<std::pair<std::string, std::function<std::vector<CensusRow>()>>> census_;
   Gauge* total_ = nullptr;  // obs.mem.total_bytes
   Gauge* peak_ = nullptr;   // obs.mem.peak_bytes
-  BudgetMonitor budget_;
 };
 
-// Human-readable rendering of a snapshot (the ATK_MEM_BUDGET exit dump).
+// Human-readable rendering of a snapshot (the ATK_MEM_SNAPSHOT fallback
+// when no §5 writer is linked in).
 std::string MemoryToText(const MemorySnapshot& snapshot);
 
-// Parses "4096", "64k", "16m", "2g" (case-insensitive, 1024 multiples).
-// Returns false on garbage.
-bool ParseByteSize(std::string_view text, uint64_t* out);
+// The live-object census lives one layer up (the DataObject registry in
+// src/base); it installs its row function here, and SnapshotMemory calls it
+// with no accountant lock held.  Null (the default) means no census rows.
+void SetCensusFunction(std::vector<CensusRow> (*census)());
 
 // The §5 serializer lives one layer up (memsnapshot_component.cc, which
 // links the datastream); it installs itself here so the ATK_MEM_SNAPSHOT
@@ -320,7 +235,6 @@ bool WriteMemSnapshotFile(const std::string& path);
 
 // Reads the environment once and applies it (idempotent; called from
 // observability::InitFromEnv):
-//   ATK_MEM_BUDGET=N[k|m|g]   byte budget for the BudgetMonitor;
 //   ATK_MEM_SNAPSHOT=path     write a memsnapshot document at process exit.
 void MemoryInitFromEnv();
 

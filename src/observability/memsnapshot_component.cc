@@ -90,13 +90,12 @@ void InstallMemSnapshotWriter() { SetMemSnapshotWriter(&WriteSnapshotDocument); 
 int64_t WriteMemSnapshotComponent(DataStreamWriter& writer, const MemorySnapshot& snap) {
   int64_t id = writer.BeginData(kMemSnapshotComponentType);
   writer.WriteDirective(
-      "memmeta", Join({"1", std::to_string(snap.budget_bytes),
-                       std::to_string(snap.total_bytes), std::to_string(snap.peak_bytes)}));
+      "memmeta", Join({"1", "0", std::to_string(snap.total_bytes),
+                       std::to_string(snap.peak_bytes)}));
   writer.WriteNewline();
   for (const MemoryAccountSample& account : snap.accounts) {
     writer.WriteDirective(
-        "account", Join({account.overlay ? "1" : "0",
-                         std::to_string(account.current_bytes),
+        "account", Join({"0", std::to_string(account.current_bytes),
                          std::to_string(account.peak_bytes),
                          std::to_string(account.charged_bytes), account.name}));
     writer.WriteNewline();
@@ -141,22 +140,21 @@ Status ReadMemSnapshotComponent(DataStreamReader& reader, MemorySnapshot* out) {
         break;  // Placement references are irrelevant to the data.
       case DataStreamReader::Token::Kind::kDirective: {
         std::vector<std::string_view> fields = SplitArgs(token.text);
+        uint64_t retired = 0;  // Budget and overlay fields: checked, ignored.
         if (token.type == "memmeta") {
-          if (fields.size() < 4 || !ParseU64(fields[1], &out->budget_bytes) ||
+          if (fields.size() < 4 || !ParseU64(fields[1], &retired) ||
               !ParseI64(fields[2], &out->total_bytes) ||
               !ParseI64(fields[3], &out->peak_bytes)) {
             return Status::Corrupt("malformed \\memmeta{" + std::string(token.text) + "}");
           }
         } else if (token.type == "account") {
           MemoryAccountSample account;
-          uint64_t overlay = 0;
-          if (fields.size() != 5 || !ParseU64(fields[0], &overlay) ||
+          if (fields.size() != 5 || !ParseU64(fields[0], &retired) ||
               !ParseI64(fields[1], &account.current_bytes) ||
               !ParseI64(fields[2], &account.peak_bytes) ||
               !ParseU64(fields[3], &account.charged_bytes)) {
             return Status::Corrupt("malformed \\account{" + std::string(token.text) + "}");
           }
-          account.overlay = overlay != 0;
           account.name = std::string(fields[4]);
           out->accounts.push_back(std::move(account));
         } else if (token.type == "census") {

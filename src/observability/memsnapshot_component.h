@@ -13,7 +13,10 @@
 // the type, and salvaged like any other component.  Account and class names
 // are metric-style identifiers and therefore never contain '}', ',' or
 // newlines; they sit last in each directive so numeric fields parse
-// positionally (the same layout as the trace component).
+// positionally (the same layout as the trace component).  The `budget`
+// and `overlay` fields are retired: the writer emits 0 and the reader checks
+// that they are numbers and ignores them, so version-1 documents written
+// with a budget or overlay accounts still read.
 //
 // Including this header (or linking anything that does) also installs the
 // §5 writer behind memory.h's ATK_MEM_SNAPSHOT exit hook — see

@@ -94,7 +94,7 @@ DocumentServer::HostedDoc* DocumentServer::FindDoc(const std::string& name) {
 
 int DocumentServer::AttachLink(SimulatedLink* link) {
   auto endpoint = std::make_unique<Endpoint>();
-  endpoint->id = static_cast<int>(endpoints_.size()) + 1;
+  endpoint->id = next_endpoint_id_++;
   endpoint->link = link;
   endpoint->channel =
       std::make_unique<Channel>(link, LinkDir::kServerToClient, config_.channel);

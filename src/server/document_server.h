@@ -161,6 +161,7 @@ class DocumentServer {
   Reactor reactor_;
   std::map<std::string, std::unique_ptr<HostedDoc>> docs_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  int next_endpoint_id_ = 1;  // Never reused: ids name gauges and DetachLink.
   uint32_t next_session_ = 1;
   Stats stats_;
   std::vector<Diagnostic> diagnostics_;

@@ -486,12 +486,11 @@ TEST(Inspector, ReconnectStormMergesExposeWithPendingDamage) {
 
 TEST(Inspector, MemoryPanelTableChartAndTotals) {
   // The memory panel derives purely from the accountant: accounts first
-  // (name, current, peak — overlays labeled), census rows behind them
+  // (name, current, peak), census rows behind them
   // ("live <class>": bytes, count), and the chart clipped to the accounts.
   observability::MemoryAccountant& accountant =
       observability::MemoryAccountant::Instance();
   observability::ScopedCharge charge(accountant.account("test.mem.panel"), 8192);
-  observability::ScopedCharge shadow(accountant.overlay("test.mem.panelshadow"), 512);
 
   InspectorData data;
   data.Refresh();
@@ -502,21 +501,16 @@ TEST(Inspector, MemoryPanelTableChartAndTotals) {
   ASSERT_LE(data.memory_row_count(), table->rows());
 
   bool found_account = false;
-  bool found_overlay = false;
   for (int r = 0; r < data.memory_row_count(); ++r) {
     if (table->at(r, 0).text == "test.mem.panel") {
       found_account = true;
       EXPECT_EQ(table->Value(r, 1), 8192.0);
       EXPECT_GE(table->Value(r, 2), 8192.0);  // peak
-    } else if (table->at(r, 0).text == "test.mem.panelshadow (overlay)") {
-      found_overlay = true;
-      EXPECT_EQ(table->Value(r, 1), 512.0);
     }
   }
   EXPECT_TRUE(found_account);
-  EXPECT_TRUE(found_overlay);
 
-  // Totals mirror the accountant: exclusive charge counted, overlay not.
+  // Totals mirror the accountant.
   EXPECT_EQ(data.memory_total_bytes(), accountant.total());
   EXPECT_GE(data.memory_peak_bytes(), data.memory_total_bytes());
 

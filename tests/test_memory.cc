@@ -1,5 +1,5 @@
 // The memory accounting spine (DESIGN.md §8): accounts and ScopedCharge
-// pairing, budget/pressure plumbing, the `memsnapshot` §5 component, and
+// pairing, the `memsnapshot` §5 component and its exit-hook writer, and
 // the allocator oracle that keeps the internal totals honest.
 //
 // This binary replaces global operator new/delete with a live-byte counter
@@ -10,8 +10,11 @@
 // leave on for every test in the binary.
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,14 +89,11 @@ void operator delete[](void* ptr, const std::nothrow_t&) noexcept { OracleFree(p
 namespace atk {
 namespace {
 
-using observability::BudgetMonitor;
 using observability::CensusRow;
 using observability::MemoryAccount;
 using observability::MemoryAccountant;
 using observability::MemoryAccountSample;
 using observability::MemorySnapshot;
-using observability::ParseByteSize;
-using observability::PressureEvent;
 using observability::ScopedCharge;
 
 TEST(Memory, ScopedChargePairsResizesAndMoves) {
@@ -124,115 +124,8 @@ TEST(Memory, ScopedChargePairsResizesAndMoves) {
   EXPECT_EQ(accountant.total(), total_base);
 }
 
-TEST(Memory, OverlayAccountsStayOutOfProcessTotals) {
-  MemoryAccountant& accountant = MemoryAccountant::Instance();
-  MemoryAccount& overlay = accountant.overlay("test.mem.shadow");
-  EXPECT_TRUE(overlay.overlay());
-  const int64_t total_before = accountant.total();
-  const int64_t overlay_before = overlay.current();
-  {
-    ScopedCharge charge(overlay, 4096);
-    EXPECT_EQ(overlay.current(), overlay_before + 4096);
-    EXPECT_EQ(accountant.total(), total_before);
-  }
-  EXPECT_EQ(overlay.current(), overlay_before);
-  // The kind is fixed by the first lookup; both accessors return the same
-  // object afterwards.
-  EXPECT_EQ(&accountant.account("test.mem.shadow"), &overlay);
-}
-
-TEST(Memory, ParseByteSizeGrammar) {
-  uint64_t bytes = 0;
-  EXPECT_TRUE(ParseByteSize("4096", &bytes));
-  EXPECT_EQ(bytes, 4096u);
-  EXPECT_TRUE(ParseByteSize("64k", &bytes));
-  EXPECT_EQ(bytes, 64u * 1024);
-  EXPECT_TRUE(ParseByteSize("16M", &bytes));
-  EXPECT_EQ(bytes, 16u * 1024 * 1024);
-  EXPECT_TRUE(ParseByteSize("2g", &bytes));
-  EXPECT_EQ(bytes, 2ull * 1024 * 1024 * 1024);
-  EXPECT_FALSE(ParseByteSize("", &bytes));
-  EXPECT_FALSE(ParseByteSize("k", &bytes));
-  EXPECT_FALSE(ParseByteSize("12q", &bytes));
-  EXPECT_FALSE(ParseByteSize("-3", &bytes));
-  EXPECT_FALSE(ParseByteSize("1.5m", &bytes));
-}
-
-TEST(Memory, BudgetCallbacksFireAscendingAndRearm) {
-  MemoryAccountant& accountant = MemoryAccountant::Instance();
-  BudgetMonitor& monitor = accountant.budget_monitor();
-  monitor.Clear();
-  // Anchor the budget to the current total so the test is immune to pools
-  // other tests left charged.
-  const int64_t base = accountant.total();
-  monitor.SetBudget(static_cast<uint64_t>(base) + 10000);
-
-  std::vector<double> fired;
-  monitor.AddCallback(0.8, [&](const PressureEvent& event) {
-    fired.push_back(event.fraction);
-    EXPECT_EQ(event.budget, static_cast<uint64_t>(base) + 10000);
-    EXPECT_GE(event.total, base + 8000);
-  });
-  monitor.AddCallback(0.5, [&](const PressureEvent& event) {
-    fired.push_back(event.fraction);
-  });
-
-  MemoryAccount& account = accountant.account("test.mem.budget");
-  ScopedCharge charge(account);
-
-  // One charge crossing both thresholds fires both, ascending.
-  charge.Resize(9000);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 0.5);
-  EXPECT_EQ(fired[1], 0.8);
-
-  // Staying above fires nothing more; dipping between re-arms only 0.8.
-  charge.Resize(9500);
-  EXPECT_EQ(fired.size(), 2u);
-  charge.Resize(6000);
-  charge.Resize(9000);
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[2], 0.8);
-
-  // Falling below everything re-arms both.
-  charge.Resize(0);
-  charge.Resize(9000);
-  ASSERT_EQ(fired.size(), 5u);
-  EXPECT_EQ(fired[3], 0.5);
-  EXPECT_EQ(fired[4], 0.8);
-
-  charge.Resize(0);
-  monitor.Clear();
-  EXPECT_EQ(monitor.budget(), 0u);
-}
-
-TEST(Memory, BudgetCallbackMayChargeWithoutRecursing) {
-  // An evictor that releases (or even charges) from inside the pressure
-  // callback must not re-enter itself on its own thread.
-  MemoryAccountant& accountant = MemoryAccountant::Instance();
-  BudgetMonitor& monitor = accountant.budget_monitor();
-  monitor.Clear();
-  const int64_t base = accountant.total();
-  monitor.SetBudget(static_cast<uint64_t>(base) + 1000);
-
-  MemoryAccount& account = accountant.account("test.mem.evictor");
-  int fires = 0;
-  monitor.AddCallback(1.0, [&](const PressureEvent&) {
-    ++fires;
-    // Nested charge crosses the threshold again; the guard suppresses it.
-    account.Charge(500);
-    account.Release(500);
-  });
-  {
-    ScopedCharge charge(account, 2000);
-    EXPECT_EQ(fires, 1);
-  }
-  monitor.Clear();
-}
-
 MemorySnapshot MakeSampleSnapshot() {
   MemorySnapshot snapshot;
-  snapshot.budget_bytes = 1 << 20;
   snapshot.total_bytes = 123456;
   snapshot.peak_bytes = 234567;
   MemoryAccountSample text;
@@ -240,25 +133,22 @@ MemorySnapshot MakeSampleSnapshot() {
   text.current_bytes = 65536;
   text.peak_bytes = 131072;
   text.charged_bytes = 999999;
-  MemoryAccountSample shadow;
-  shadow.name = "base.mem.dataobject";
-  shadow.overlay = true;
-  shadow.current_bytes = 4096;
-  shadow.peak_bytes = 8192;
-  shadow.charged_bytes = 55555;
-  snapshot.accounts = {text, shadow};
+  MemoryAccountSample region;
+  region.name = "graphics.mem.region";
+  region.current_bytes = 4096;
+  region.peak_bytes = 8192;
+  region.charged_bytes = 55555;
+  snapshot.accounts = {text, region};
   snapshot.census = {{"textdata", 12, 61440}, {"tabledata", 3, 9000}};
   return snapshot;
 }
 
 void ExpectSnapshotsEqual(const MemorySnapshot& back, const MemorySnapshot& original) {
-  EXPECT_EQ(back.budget_bytes, original.budget_bytes);
   EXPECT_EQ(back.total_bytes, original.total_bytes);
   EXPECT_EQ(back.peak_bytes, original.peak_bytes);
   ASSERT_EQ(back.accounts.size(), original.accounts.size());
   for (size_t i = 0; i < original.accounts.size(); ++i) {
     EXPECT_EQ(back.accounts[i].name, original.accounts[i].name);
-    EXPECT_EQ(back.accounts[i].overlay, original.accounts[i].overlay);
     EXPECT_EQ(back.accounts[i].current_bytes, original.accounts[i].current_bytes);
     EXPECT_EQ(back.accounts[i].peak_bytes, original.accounts[i].peak_bytes);
     EXPECT_EQ(back.accounts[i].charged_bytes, original.accounts[i].charged_bytes);
@@ -289,6 +179,22 @@ TEST(Memory, MemSnapshotRoundTripsThroughDatastream) {
   std::string salvaged = DataStreamSalvager().Salvage(serialized, &report);
   EXPECT_TRUE(report.clean);
   EXPECT_EQ(salvaged, serialized);
+
+  // A document written when snapshots still carried a byte budget and an
+  // overlay account kind: the retired \memmeta budget and \account
+  // overlay fields hold non-zero numbers, which read and are ignored.
+  const std::string versioned =
+      "\\begindata{memsnapshot,1}\n"
+      "\\memmeta{1,1048576,123456,234567}\n"
+      "\\account{0,65536,131072,999999,text.mem.gapbuffer}\n"
+      "\\account{1,4096,8192,55555,graphics.mem.region}\n"
+      "\\census{12,61440,textdata}\n"
+      "\\census{3,9000,tabledata}\n"
+      "\\enddata{memsnapshot,1}\n";
+  MemorySnapshot old;
+  status = observability::MemSnapshotFromDatastream(versioned, &old);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectSnapshotsEqual(old, original);
 }
 
 TEST(Memory, LiveSnapshotRoundTripsWithCensus) {
@@ -312,6 +218,35 @@ TEST(Memory, LiveSnapshotRoundTripsWithCensus) {
       observability::MemSnapshotToDatastream(live), &back);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ExpectSnapshotsEqual(back, live);
+}
+
+TEST(Memory, WriteMemSnapshotFileWritesAReadableCensus) {
+  // The ATK_MEM_SNAPSHOT exit hook's writer, driven directly: with a decoded
+  // document alive, the file it leaves reads back with census rows.
+  RegisterStandardModules();
+  Loader::Instance().Require("text");
+  auto source = ObjectCast<TextData>(Loader::Instance().NewObject("text"));
+  ASSERT_NE(source, nullptr);
+  source->SetText("exit hook bait\n");
+  std::unique_ptr<DataObject> doc = ReadDocument(WriteDocument(*source));
+  ASSERT_NE(doc, nullptr);
+
+  const std::string path = ::testing::TempDir() + "atk_memsnapshot_test.atk";
+  ASSERT_TRUE(observability::WriteMemSnapshotFile(path));
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream contents;
+  contents << in.rdbuf();
+  std::remove(path.c_str());
+
+  MemorySnapshot back;
+  Status status = observability::MemSnapshotFromDatastream(contents.str(), &back);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(back.accounts.empty());
+  EXPECT_FALSE(back.census.empty());
+
+  EXPECT_FALSE(observability::WriteMemSnapshotFile(
+      ::testing::TempDir() + "no-such-dir/memsnapshot.atk"));
 }
 
 TEST(Memory, CorruptedCensusDocumentSalvages) {

@@ -443,6 +443,7 @@ struct Harness {
   DocumentServer server;
   std::vector<std::unique_ptr<SimulatedLink>> links;
   std::vector<std::unique_ptr<ClientSession>> clients;
+  std::vector<int> endpoint_ids;  // Parallel to links.
 
   explicit Harness(DocumentServer::Config config = DocumentServer::Config())
       : server(config) {}
@@ -451,7 +452,7 @@ struct Harness {
                            const TransportFaultPlan& plan = TransportFaultPlan::Clean(),
                            ClientSession::Config config = ClientSession::Config()) {
     links.push_back(std::make_unique<SimulatedLink>(plan));
-    server.AttachLink(links.back().get());
+    endpoint_ids.push_back(server.AttachLink(links.back().get()));
     clients.push_back(
         std::make_unique<ClientSession>(name, doc, links.back().get(), config));
     clients.back()->Connect(links.back()->now());
@@ -547,6 +548,35 @@ TEST(DocumentServer, EditsFanOutToEverySession) {
   EXPECT_EQ(a->applied_version(), h.server.version("notes"));
   EXPECT_EQ(b->applied_version(), h.server.version("notes"));
   EXPECT_GE(h.server.stats().updates_fanned_out, 2u);
+}
+
+TEST(DocumentServer, EndpointIdsAreNotReusedAfterDetach) {
+  // Attach two, detach the first, attach again.  An id derived from the
+  // endpoint count would hand the newcomer the second endpoint's id: both
+  // would write the same server.endpoint_<id>.* gauges, and detaching the
+  // newcomer would cut the older session loose instead.
+  Harness h;
+  h.server.HostDocument("notes", MakeDoc("shared"));
+  h.AddClient("alice", "notes");
+  ClientSession* bob = h.AddClient("bob", "notes");
+  h.Settle();
+  h.server.DetachLink(h.endpoint_ids[0]);
+  h.AddClient("carol", "notes");
+  EXPECT_NE(h.endpoint_ids[2], h.endpoint_ids[1]);
+
+  h.server.DetachLink(h.endpoint_ids[2]);
+  EditOp op;
+  op.kind = EditOp::Kind::kInsert;
+  op.pos = 0;
+  op.len = 5;
+  op.text = "very ";
+  bob->SubmitEdit(op);
+  for (int i = 0; i < 500 && h.server.document("notes")->GetAllText() != "very shared"; ++i) {
+    h.Step();
+  }
+  EXPECT_EQ(h.server.document("notes")->GetAllText(), "very shared")
+      << "bob's endpoint must survive the newcomer's detach";
+  EXPECT_EQ(h.server.session_count(), 1u);
 }
 
 TEST(DocumentServer, ProgrammaticMutationFansOutThroughObserver) {
