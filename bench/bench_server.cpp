@@ -5,13 +5,17 @@
 // go-back-N bookkeeping, observer fan-out — not kernel sockets.
 //
 // Beyond the wall-time rows, the observability snapshot contributes:
-//   histogram/server.fanout.latency_us/p99       — server-side fan-out loop
+//   histogram/server.fanout.latency_us/p99       — server-side fan-out loop,
+//                                                  observed once per flush of
+//                                                  a pump's update batch
 //   histogram/client.update.lag_ticks/p99        — replica-observed update lag
 //   histogram/server.propagation.latency_us/p99  — origin -> last replica,
 //                                                  traced runs only
 //   gauge/server.bench.attach_sessions_per_sec
 //   gauge/server.bench.fanout_p99_us             — end-to-end per-edit p99
 //   gauge/server.bench.fanout_traced_p99_us      — same loop with tracing on
+//   gauge/server.bench.frames_per_edit           — wire frames per edit in a
+//                                                  one-tick burst (BM_BurstFanOut)
 // which is where the acceptance numbers live.  BM_EditFanOut_Traced runs the
 // identical workload with span recording and flow ids enabled, so the
 // traced/untraced ratio is the tracing overhead the perf gates bound.
@@ -68,6 +72,17 @@ struct Fleet {
     }
   }
 
+  // Connects every client and steps until all of them are synced.
+  void Attach() {
+    for (auto& client : clients) {
+      client->Connect(0);
+    }
+    int guard = 0;
+    while (!AllSynced() && ++guard < 100000) {
+      Step();
+    }
+  }
+
   bool AllSynced() const {
     for (const auto& client : clients) {
       if (!client->synced()) {
@@ -87,6 +102,19 @@ struct Fleet {
   }
 };
 
+// Inserts "x" at 0, or deletes the character there: alternating the two
+// keeps the document's size however many iterations run.
+EditOp OneCharEdit(bool insert) {
+  EditOp op;
+  op.kind = insert ? EditOp::Kind::kInsert : EditOp::Kind::kDelete;
+  op.pos = 0;
+  op.len = 1;
+  if (insert) {
+    op.text = "x";
+  }
+  return op;
+}
+
 // Cold attach of N sessions: hello -> hello-ack -> snapshot for every
 // client, driven to full sync.  One iteration is one whole fleet.
 void BM_SessionAttach(benchmark::State& state) {
@@ -98,13 +126,7 @@ void BM_SessionAttach(benchmark::State& state) {
     auto fleet = std::make_unique<Fleet>(sessions);
     state.ResumeTiming();
     auto start = std::chrono::steady_clock::now();
-    for (auto& client : fleet->clients) {
-      client->Connect(0);
-    }
-    int guard = 0;
-    while (!fleet->AllSynced() && ++guard < 100000) {
-      fleet->Step();
-    }
+    fleet->Attach();
     attach_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -136,13 +158,7 @@ void RunEditFanOut(benchmark::State& state, bool traced) {
   accountant.ResetPeaks();
   const int64_t mem_before = accountant.total();
   Fleet fleet(sessions);
-  for (auto& client : fleet.clients) {
-    client->Connect(0);
-  }
-  int guard = 0;
-  while (!fleet.AllSynced() && ++guard < 100000) {
-    fleet.Step();
-  }
+  fleet.Attach();
   const bool was_tracing = atk::observability::Enabled();
   const bool had_flows = atk::observability::FlowsEnabled();
   if (traced) {
@@ -153,17 +169,7 @@ void RunEditFanOut(benchmark::State& state, bool traced) {
   bool insert = true;
   std::vector<double> per_edit_ns;
   for (auto _ : state) {
-    EditOp op;
-    if (insert) {
-      op.kind = EditOp::Kind::kInsert;
-      op.pos = 0;
-      op.len = 1;
-      op.text = "x";
-    } else {
-      op.kind = EditOp::Kind::kDelete;
-      op.pos = 0;
-      op.len = 1;
-    }
+    EditOp op = OneCharEdit(insert);
     insert = !insert;
     auto start = std::chrono::steady_clock::now();
     fleet.clients[0]->SubmitEdit(op);
@@ -206,6 +212,44 @@ BENCHMARK(BM_EditFanOut)->Arg(64)->Arg(256);
 
 void BM_EditFanOut_Traced(benchmark::State& state) { RunEditFanOut(state, true); }
 BENCHMARK(BM_EditFanOut_Traced)->Arg(64)->Arg(256);
+
+// A burst: 8 sessions each submit one insert in the same tick over clean
+// links, and the fleet steps until every replica holds the whole burst.
+// The server applies the burst in one pump and sends each session one
+// kUpdate frame for it, so the wire frames per edit (both directions, acks
+// included) stay far below the session count; perf_baseline.json gates
+// gauge/server.bench.frames_per_edit.
+void BM_BurstFanOut(benchmark::State& state) {
+  constexpr int kBurst = 8;
+  const int sessions = static_cast<int>(state.range(0));
+  Fleet fleet(sessions);
+  fleet.Attach();
+  observability::Counter& frames =
+      MetricsRegistry::Instance().counter("server.frames.sent");
+  const uint64_t frames_before = frames.value();
+  uint64_t version = fleet.server.version("bench");
+  bool insert = true;
+  for (auto _ : state) {
+    for (int i = 0; i < kBurst; ++i) {
+      fleet.clients[static_cast<size_t>(i * sessions / kBurst)]->SubmitEdit(
+          OneCharEdit(insert));
+    }
+    insert = !insert;
+    version += kBurst;
+    int burst_guard = 0;
+    while (!fleet.AllAtVersion(version) && ++burst_guard < 100000) {
+      fleet.Step();
+    }
+  }
+  if (state.iterations() > 0) {
+    MetricsRegistry::Instance()
+        .gauge("server.bench.frames_per_edit")
+        .Set(static_cast<int64_t>((frames.value() - frames_before) /
+                                  (state.iterations() * kBurst)));
+  }
+  state.SetItemsProcessed(state.iterations() * kBurst);
+}
+BENCHMARK(BM_BurstFanOut)->Arg(64);
 
 // The untraced fan-out with the memory accountant off: a perf gate holds
 // BM_EditFanOut/256 within 2% of this run.  The fleet is created and

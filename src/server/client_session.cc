@@ -93,7 +93,7 @@ void ClientSession::SendHello(uint64_t now) {
 }
 
 void ClientSession::SubmitEdit(EditOp op) {
-  PendingEdit pending;
+  EditRecord pending;  // Version 0: the server assigns the real one.
   pending.op = std::move(op);
   if (observability::Enabled() && observability::FlowsEnabled()) {
     // The edit origin: allocate the flow id here (the keystroke), not at
@@ -215,48 +215,51 @@ void ClientSession::HandleUpdate(const Frame& frame, uint64_t now) {
   if (!DecodeEdit(frame.payload, &update)) {
     return;  // Damaged payload; the version gap triggers a resync below.
   }
-  if (!synced_) {
+  if (!synced_ || replica_ == nullptr) {
     // Updates racing ahead of the first snapshot: the snapshot that is still
     // in flight already contains them.
     return;
   }
-  if (update.version <= applied_version_) {
-    return;
-  }
-  if (update.version != applied_version_ + 1) {
-    // Version gap (an update was undecodable, or a snapshot we refused).
-    if (!snap_req_pending_) {
-      snap_req_retries_ = 0;
-      RequestSnapshot(now);
+  bool applied_any = false;
+  for (const EditRecord& record : update.ops) {
+    if (record.version <= applied_version_) {
+      continue;  // Already held, e.g. by a snapshot from the same pump.
     }
-    return;
-  }
-  if (replica_ == nullptr) {
-    return;
-  }
-  {
-    // The terminal hop of the edit's causal flow: the replica apply span on
-    // this session's track (scopes are no-ops when update.flow is 0).
-    observability::FlowScope flow(update.flow);
-    observability::ScopedSpan span("client.update.apply");
-    span.set_arg(channel_.session());
-    if (update.op.kind == EditOp::Kind::kInsert) {
-      replica_->InsertString(update.op.pos, update.op.text);
-    } else {
-      replica_->DeleteRange(update.op.pos, update.op.len);
+    if (record.version != applied_version_ + 1) {
+      // Version gap (an update was undecodable, or a snapshot we refused).
+      if (!snap_req_pending_) {
+        snap_req_retries_ = 0;
+        RequestSnapshot(now);
+      }
+      break;
+    }
+    {
+      // The terminal hop of the op's causal flow: the replica apply span on
+      // this session's track (scopes are no-ops when record.flow is 0).
+      observability::FlowScope flow(record.flow);
+      observability::ScopedSpan span("client.update.apply");
+      span.set_arg(channel_.session());
+      if (record.op.kind == EditOp::Kind::kInsert) {
+        replica_->InsertString(record.op.pos, record.op.text);
+      } else {
+        replica_->DeleteRange(record.op.pos, record.op.len);
+      }
+    }
+    applied_version_ = record.version;
+    ++stats_.updates_applied;
+    applied_any = true;
+    if (record.flow != 0) {
+      // The last expected replica closes the flow into
+      // server.propagation.latency_us.
+      FlowTracker::Instance().ReplicaApplied(record.flow, observability::MonotonicNanos());
     }
   }
-  applied_version_ = update.version;
-  ++stats_.updates_applied;
-  // Fan-out latency as the replica saw it: ticks between the server stamping
-  // the update and this apply (retransmits and backoff included).
-  static observability::Histogram& lag =
-      MetricsRegistry::Instance().histogram("client.update.lag_ticks");
-  lag.Observe(now >= update.sent_tick ? now - update.sent_tick : 0);
-  if (update.flow != 0) {
-    // The last expected replica closes the flow into
-    // server.propagation.latency_us.
-    FlowTracker::Instance().ReplicaApplied(update.flow, observability::MonotonicNanos());
+  if (applied_any) {
+    // Fan-out latency as the replica saw it: ticks between the server
+    // stamping the frame and this apply (retransmits and backoff included).
+    static observability::Histogram& lag =
+        MetricsRegistry::Instance().histogram("client.update.lag_ticks");
+    lag.Observe(now >= update.sent_tick ? now - update.sent_tick : 0);
   }
 }
 
@@ -319,27 +322,22 @@ void ClientSession::InstallReplica(std::unique_ptr<TextData> replica,
 }
 
 void ClientSession::FlushOutbox(uint64_t now) {
-  if (state_ != State::kAttached || !synced_) {
+  if (state_ != State::kAttached || !synced_ || outbox_.empty()) {
     return;
   }
-  while (!outbox_.empty()) {
-    PendingEdit pending = std::move(outbox_.front());
-    outbox_.pop_front();
-    EditPayload payload;
-    payload.version = 0;  // The server assigns the real version.
-    payload.sent_tick = now;
-    payload.flow = pending.flow;
-    payload.origin_ns = pending.origin_ns;
-    payload.op = std::move(pending.op);
-    Frame frame;
-    frame.type = FrameType::kEdit;
-    frame.flow = pending.flow;
-    frame.payload = EncodeEdit(payload);
-    channel_.SendReliable(std::move(frame), now);
-    ++stats_.edits_sent;
-    static Counter& sent = MetricsRegistry::Instance().counter("client.edits.sent");
-    sent.Add(1);
-  }
+  // The whole outbox rides one frame.
+  EditPayload payload;
+  payload.sent_tick = now;
+  payload.ops = std::move(outbox_);
+  outbox_.clear();
+  Frame frame;
+  frame.type = FrameType::kEdit;
+  frame.flow = FrameFlow(payload);
+  frame.payload = EncodeEdit(payload);
+  channel_.SendReliable(std::move(frame), now);
+  stats_.edits_sent += payload.ops.size();
+  static Counter& sent = MetricsRegistry::Instance().counter("client.edits.sent");
+  sent.Add(payload.ops.size());
 }
 
 }  // namespace server

@@ -5,9 +5,10 @@
 // to the server's authoritative copy.  The editing model is
 // server-serialized: SubmitEdit never touches the replica — the edit rides
 // the reliable channel to the server, is applied there, and comes back as a
-// versioned kUpdate in channel order, so every replica applies the same ops
-// in the same order and convergence is byte-exact without operational
-// transforms.
+// versioned op in a kUpdate frame (one frame per server pump, carrying the
+// ops that pump applied) in channel order, so every replica applies the
+// same ops in the same order and convergence is byte-exact without
+// operational transforms.
 //
 // Recovery ladder, mildest first:
 //   * lost/duplicated/reordered frames — absorbed by the reliable channel;
@@ -25,10 +26,10 @@
 #define ATK_SRC_SERVER_CLIENT_SESSION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/components/text/text_data.h"
 #include "src/server/channel.h"
@@ -102,14 +103,6 @@ class ClientSession {
   const Channel& channel() const { return channel_; }
 
  private:
-  // An outbox entry: the op plus the causal envelope allocated at submit
-  // time (flow id + origin clock; both 0 when flow tracing is off).
-  struct PendingEdit {
-    EditOp op;
-    uint64_t flow = 0;
-    uint64_t origin_ns = 0;
-  };
-
   void SendHello(uint64_t now);
   void RequestSnapshot(uint64_t now);
   void HandleUpdate(const Frame& frame, uint64_t now);
@@ -133,7 +126,9 @@ class ClientSession {
   std::unique_ptr<TextData> replica_;
   std::function<void(TextData*)> replica_listener_;
   uint64_t applied_version_ = 0;
-  std::deque<PendingEdit> outbox_;
+  // Submitted edits with the causal envelope allocated at submit time (flow
+  // id + origin clock; both 0 when flow tracing is off).
+  std::vector<EditRecord> outbox_;
   uint32_t trace_track_ = 0;
   bool track_registered_ = false;
   // Hello retry state.

@@ -1,6 +1,7 @@
 #include "src/server/document_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/data_object.h"
 #include "src/components/modules.h"
@@ -143,6 +144,10 @@ size_t DocumentServer::pending_frames() const {
   for (const std::unique_ptr<Endpoint>& endpoint : endpoints_) {
     total += endpoint->channel->pending();
   }
+  for (const auto& [name, doc] : docs_) {
+    (void)name;
+    total += doc->pending.empty() ? 0 : 1;
+  }
   return total;
 }
 
@@ -150,6 +155,10 @@ void DocumentServer::PumpOnce() {
   observability::TrackScope track(observability::Enabled() ? ServerTrack() : 0);
   ATK_TRACE_SPAN("server.reactor.pump");
   reactor_.PumpOnce();
+  for (auto& [name, doc] : docs_) {
+    (void)name;
+    FlushUpdates(*doc);
+  }
 }
 
 void DocumentServer::PumpEndpoint(Endpoint& endpoint) {
@@ -243,7 +252,13 @@ void DocumentServer::HandleHello(Endpoint& endpoint, const Frame& frame) {
     endpoint.channel->SendUnsequenced(std::move(ack), endpoint.link->now());
     return;
   }
-  if (endpoint.attached) {
+  // The newcomer's snapshot below holds every op applied so far, so the
+  // pending batch goes out first, to the other sessions only (a reconnect
+  // abandons this endpoint's old session).
+  bool reconnect = endpoint.attached;
+  endpoint.attached = false;
+  FlushUpdates(*doc);
+  if (reconnect) {
     ++stats_.sessions_reconnected;
     static Counter& reconnects =
         MetricsRegistry::Instance().counter("server.sessions.reconnected");
@@ -295,28 +310,28 @@ void DocumentServer::HandleEdit(Endpoint& endpoint, const Frame& frame) {
   if (doc == nullptr) {
     return;
   }
-  // The edit's causal envelope: the apply span (and the fan-out spans below
-  // it on this stack) joins the flow the originating client opened, and the
-  // observer-driven fan-out reads the members to re-stamp outgoing updates.
-  observability::FlowScope flow_scope(edit.flow);
-  current_flow_ = edit.flow;
-  current_origin_ns_ = edit.origin_ns;
-  ATK_TRACE_SPAN("server.edit.apply");
-  ++stats_.edits_applied;
   static Counter& applied = MetricsRegistry::Instance().counter("server.edits.applied");
-  applied.Add(1);
-  // Clamp against the authoritative state; the fan-out is rebuilt from the
-  // Change record, so every replica sees the *effective* op.
-  int64_t size = doc->data->size();
-  if (edit.op.kind == EditOp::Kind::kInsert) {
-    int64_t pos = std::min(edit.op.pos, size);
-    doc->data->InsertString(pos, edit.op.text);
-  } else {
-    int64_t pos = std::min(edit.op.pos, size);
-    doc->data->DeleteRange(pos, edit.op.len);
+  for (EditRecord& record : edit.ops) {
+    // The op's causal envelope: the apply span joins the flow the
+    // originating client opened, and the observer stamps it on the batched
+    // op so the replicas' applies join it too.
+    observability::FlowScope flow_scope(record.flow);
+    current_flow_ = record.flow;
+    current_origin_ns_ = record.origin_ns;
+    ATK_TRACE_SPAN("server.edit.apply");
+    ++stats_.edits_applied;
+    applied.Add(1);
+    // Clamp against the authoritative state; the batched op is rebuilt from
+    // the Change record, so every replica sees the *effective* op.
+    int64_t pos = std::min(record.op.pos, doc->data->size());
+    if (record.op.kind == EditOp::Kind::kInsert) {
+      doc->data->InsertString(pos, record.op.text);
+    } else {
+      doc->data->DeleteRange(pos, record.op.len);
+    }
   }
   // The observer (FanOut::ObservedChanged) has now bumped the version and
-  // queued updates for every attached session, this one included — the
+  // batched the ops for every attached session, this one included — the
   // originator's echo doubles as its apply confirmation.
   current_flow_ = 0;
   current_origin_ns_ = 0;
@@ -337,7 +352,7 @@ void DocumentServer::FanOut::ObservedChanged(Observable* changed, const Change& 
     // An insert that carries an embedded-object anchor cannot be replayed
     // as text; fall back to a full-state fan-out.
     if (op.text.find(TextData::kObjectChar) == std::string::npos) {
-      server_->FanOutUpdate(*doc_, op);
+      server_->QueueUpdate(*doc_, std::move(op));
       return;
     }
   } else if (change.kind == Change::Kind::kDeleted) {
@@ -345,7 +360,7 @@ void DocumentServer::FanOut::ObservedChanged(Observable* changed, const Change& 
     op.kind = EditOp::Kind::kDelete;
     op.pos = change.pos;
     op.len = change.removed;
-    server_->FanOutUpdate(*doc_, op);
+    server_->QueueUpdate(*doc_, std::move(op));
     return;
   }
   // kModified / kReplaced / kAttributes / anchor inserts: not expressible
@@ -353,7 +368,25 @@ void DocumentServer::FanOut::ObservedChanged(Observable* changed, const Change& 
   server_->FanOutSnapshot(*doc_);
 }
 
-void DocumentServer::FanOutUpdate(HostedDoc& doc, const EditOp& op) {
+void DocumentServer::QueueUpdate(HostedDoc& doc, EditOp op) {
+  EditRecord& record = doc.pending.emplace_back();
+  record.version = doc.version;
+  record.flow = current_flow_;
+  record.origin_ns = current_origin_ns_;
+  record.op = std::move(op);
+}
+
+void DocumentServer::FlushUpdates(HostedDoc& doc) {
+  if (doc.pending.empty()) {
+    return;
+  }
+  EditPayload payload;
+  payload.ops = std::move(doc.pending);
+  doc.pending.clear();
+  // The fan-out spans, like any retransmit of the frames, join the flow the
+  // frames are tagged with.
+  const uint64_t frame_flow = FrameFlow(payload);
+  observability::FlowScope flow_scope(frame_flow);
   ATK_TRACE_SPAN("server.fanout.update");
   static Histogram& latency =
       MetricsRegistry::Instance().histogram("server.fanout.latency_us");
@@ -370,34 +403,31 @@ void DocumentServer::FanOutUpdate(HostedDoc& doc, const EditOp& op) {
     }
     uint64_t now = endpoint->link->now();
     if (encoded.empty() || encoded_tick != now) {
-      EditPayload payload;
-      payload.version = doc.version;
       payload.sent_tick = now;
-      payload.flow = current_flow_;
-      payload.origin_ns = current_origin_ns_;
-      payload.op = op;
       encoded = EncodeEdit(payload);
       encoded_tick = now;
     }
     Frame frame;
     frame.type = FrameType::kUpdate;
-    frame.flow = current_flow_;
+    frame.flow = frame_flow;
     frame.payload = encoded;
     {
       // One span per recipient session: the trace shows which sessions the
-      // flow fanned out to and what each enqueue cost.
+      // batch fanned out to and what each enqueue cost.
       observability::ScopedSpan span("server.fanout.session");
       span.set_arg(endpoint->session);
-      endpoint->channel->SendReliable(std::move(frame), endpoint->link->now());
+      endpoint->channel->SendReliable(std::move(frame), now);
     }
     ++recipients;
     ++stats_.updates_fanned_out;
     fanned.Add(1);
   }
   latency.Observe((observability::MonotonicNanos() - start_ns) / 1000);
-  // The last replica apply closes the flow into
+  // Each op's last replica apply closes its flow into
   // server.propagation.latency_us (see src/server/flow_trace.h).
-  FlowTracker::Instance().BeginFlow(current_flow_, current_origin_ns_, recipients);
+  for (const EditRecord& record : payload.ops) {
+    FlowTracker::Instance().BeginFlow(record.flow, record.origin_ns, recipients);
+  }
 }
 
 void DocumentServer::FanOutSnapshot(HostedDoc& doc) {
@@ -409,6 +439,9 @@ void DocumentServer::FanOutSnapshot(HostedDoc& doc) {
 }
 
 void DocumentServer::SendSnapshot(Endpoint& endpoint, HostedDoc& doc) {
+  // Ops batched before the snapshot's version go out ahead of it, so every
+  // session's reliable stream stays in version order.
+  FlushUpdates(doc);
   ATK_TRACE_SPAN("server.snapshot.send");
   SnapshotPayload payload;
   payload.version = doc.version;

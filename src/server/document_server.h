@@ -5,7 +5,9 @@
 // the fan-out spine: the server registers one observer per hosted document,
 // and *any* mutation of the document — an edit applied for a session, or
 // direct programmatic mutation — raises a Change that the observer turns
-// into versioned kUpdate frames for every attached session.  Views on the
+// into versioned ops.  The ops a reactor pump applies are the pump's
+// delayed update: at the end of the pump every attached session gets them
+// as one kUpdate frame (DESIGN.md §9, "Update batching").  Views on the
 // client side are pure observers of the replica, so the whole pipeline is
 // document -> observer -> wire -> replica -> observer -> view, with the
 // delayed-update machinery untouched at both ends.
@@ -55,7 +57,7 @@ class DocumentServer {
 
   struct Stats {
     uint64_t edits_applied = 0;
-    uint64_t updates_fanned_out = 0;
+    uint64_t updates_fanned_out = 0;  // kUpdate frames: one per session per flush.
     uint64_t snapshots_sent = 0;
     uint64_t sessions_attached = 0;
     uint64_t sessions_evicted = 0;
@@ -81,7 +83,8 @@ class DocumentServer {
   int AttachLink(SimulatedLink* link);
   void DetachLink(int endpoint_id);
   size_t session_count() const;  // Endpoints with an attached session.
-  // Frames queued or unacked across all endpoints: zero means the server has
+  // Frames queued or unacked across all endpoints, plus one per document
+  // whose update batch has not been flushed yet: zero means the server has
   // nothing left to deliver (quiescence detection must include this — an
   // update sitting out a retransmit backoff leaves the wire silent).
   size_t pending_frames() const;
@@ -94,6 +97,9 @@ class DocumentServer {
   // ---- The reactor pump ----
   // One readiness scan: every endpoint with deliverable frames or pending
   // retransmissions is pumped; broken/overflowing sessions are evicted.
+  // Then every document's update batch (the ops applied since the last
+  // flush, this pump's and any direct mutation's) goes out, one kUpdate
+  // frame per attached session.
   void PumpOnce();
 
   const Stats& stats() const { return stats_; }
@@ -104,7 +110,7 @@ class DocumentServer {
   struct HostedDoc;
 
   // Observer living on each hosted document: converts Change records into
-  // kUpdate fan-out (or snapshot fan-out for non-incremental changes).
+  // batched ops (or snapshot fan-out for non-incremental changes).
   class FanOut : public Observer {
    public:
     FanOut(DocumentServer* server, HostedDoc* doc) : server_(server), doc_(doc) {}
@@ -120,6 +126,9 @@ class DocumentServer {
     std::unique_ptr<TextData> data;
     uint64_t version = 0;
     std::unique_ptr<FanOut> fan_out;
+    // Ops applied since the last flush, each with its own version and
+    // causal envelope, in version order.
+    std::vector<EditRecord> pending;
   };
 
   struct Endpoint {
@@ -153,7 +162,10 @@ class DocumentServer {
   void HandleEdit(Endpoint& endpoint, const Frame& frame);
   void SendSnapshot(Endpoint& endpoint, HostedDoc& doc);
   void Evict(Endpoint& endpoint, const std::string& reason);
-  void FanOutUpdate(HostedDoc& doc, const EditOp& op);
+  // Appends an applied op to the document's batch.
+  void QueueUpdate(HostedDoc& doc, EditOp op);
+  // Sends the batch to every attached session of `doc`, one frame each.
+  void FlushUpdates(HostedDoc& doc);
   void FanOutSnapshot(HostedDoc& doc);
   HostedDoc* FindDoc(const std::string& name);
 
@@ -165,9 +177,9 @@ class DocumentServer {
   uint32_t next_session_ = 1;
   Stats stats_;
   std::vector<Diagnostic> diagnostics_;
-  // The causal envelope of the edit currently being applied (HandleEdit →
-  // observer → FanOutUpdate run on one stack, so the observer's fan-out can
-  // propagate the inbound flow without threading it through Change records).
+  // The causal envelope of the op currently being applied (HandleEdit →
+  // observer → QueueUpdate run on one stack, so the batched op carries the
+  // inbound flow without threading it through Change records).
   uint64_t current_flow_ = 0;
   uint64_t current_origin_ns_ = 0;
 };

@@ -43,8 +43,8 @@ namespace server {
 enum class FrameType : uint8_t {
   kHello = 1,        // client -> server: attach {client name, doc, version}
   kHelloAck = 2,     // server -> client: {session id, doc version}
-  kEdit = 3,         // client -> server: one edit op
-  kUpdate = 4,       // server -> client: one versioned edit (fan-out)
+  kEdit = 3,         // client -> server: the edit ops of one client pump
+  kUpdate = 4,       // server -> client: the versioned ops of one server pump
   kSnapshotReq = 5,  // client -> server: full-state resync request
   kSnapshot = 6,     // server -> client: §5-format document snapshot
   kAck = 7,          // pure cumulative ack (no payload)

@@ -116,116 +116,131 @@ bool DecodeHelloAck(std::string_view payload, HelloAckPayload* out) {
   return true;
 }
 
-std::string EncodeEdit(const EditPayload& edit) {
-  // Built in one stack pass: the server re-encodes this payload once per
-  // recipient session, so the string-temporary-per-line idiom the other
-  // codecs use would be the hottest allocation site in the fan-out loop.
-  // 192 bytes covers the worst case (6 keys + 5 full-width u64/i64 values);
-  // the lambdas still bounds-check so the compiler can see it too.
-  char head[192];
-  char* p = head;
-  char* const end = head + sizeof(head);
-  auto put = [&](std::string_view s) {
-    if (static_cast<size_t>(end - p) >= s.size()) {
-      std::memcpy(p, s.data(), s.size());
-      p += s.size();
+uint64_t FrameFlow(const EditPayload& edit) {
+  for (const EditRecord& record : edit.ops) {
+    if (record.flow != 0) {
+      return record.flow;
     }
-  };
-  auto ch = [&](char c) {
-    if (p < end) {
-      *p++ = c;
-    }
-  };
-  auto num = [&](auto v) { p = std::to_chars(p, end, v).ptr; };
-  put("version ");
-  num(edit.version);
-  ch('\n');
-  put("tick ");
-  num(edit.sent_tick);
-  ch('\n');
-  if (edit.flow != 0) {
-    put("flow ");
-    num(edit.flow);
-    ch('\n');
-    put("origin ");
-    num(edit.origin_ns);
-    ch('\n');
   }
-  put("op ");
-  ch(edit.op.kind == EditOp::Kind::kInsert ? 'i' : 'd');
-  ch(' ');
-  num(edit.op.pos);
-  ch(' ');
-  num(edit.op.len);
-  ch('\n');
+  return 0;
+}
+
+std::string EncodeEdit(const EditPayload& edit) {
+  // Each record's head is built in one stack pass: the fan-out encodes a
+  // batch once per tick, and the string-temporary-per-line idiom the other
+  // codecs use would put an allocation per line on that path.  192 bytes
+  // covers the worst case (6 keys + 5 full-width u64/i64 values); the
+  // lambdas still bounds-check so the compiler can see it too.
   std::string out;
-  size_t head_len = static_cast<size_t>(p - head);
-  bool insert = edit.op.kind == EditOp::Kind::kInsert;
-  out.reserve(head_len + (insert ? edit.op.text.size() : 0));
-  out.assign(head, head_len);
-  if (insert) {
-    out += edit.op.text;
+  bool first = true;
+  for (const EditRecord& record : edit.ops) {
+    char head[192];
+    char* p = head;
+    char* const end = head + sizeof(head);
+    auto put = [&](std::string_view s) {
+      if (static_cast<size_t>(end - p) >= s.size()) {
+        std::memcpy(p, s.data(), s.size());
+        p += s.size();
+      }
+    };
+    auto ch = [&](char c) {
+      if (p < end) {
+        *p++ = c;
+      }
+    };
+    auto num = [&](auto v) { p = std::to_chars(p, end, v).ptr; };
+    put("version ");
+    num(record.version);
+    ch('\n');
+    if (first) {
+      put("tick ");
+      num(edit.sent_tick);
+      ch('\n');
+      first = false;
+    }
+    if (record.flow != 0) {
+      put("flow ");
+      num(record.flow);
+      ch('\n');
+      put("origin ");
+      num(record.origin_ns);
+      ch('\n');
+    }
+    put("op ");
+    ch(record.op.kind == EditOp::Kind::kInsert ? 'i' : 'd');
+    ch(' ');
+    num(record.op.pos);
+    ch(' ');
+    num(record.op.len);
+    ch('\n');
+    out.append(head, static_cast<size_t>(p - head));
+    if (record.op.kind == EditOp::Kind::kInsert) {
+      out += record.op.text;
+    }
   }
   return out;
 }
 
 bool DecodeEdit(std::string_view payload, EditPayload* out) {
+  out->ops.clear();
   std::string_view line, value;
-  if (!NextLine(&payload, &line) || !KeyedLine(line, "version", &value) ||
-      !ParseU64(value, &out->version)) {
-    return false;
-  }
-  if (!NextLine(&payload, &line) || !KeyedLine(line, "tick", &value) ||
-      !ParseU64(value, &out->sent_tick)) {
-    return false;
-  }
-  // Optional causal-trace lines (present only when the origin allocated a
-  // flow id); a payload without them decodes with flow == origin_ns == 0.
-  out->flow = 0;
-  out->origin_ns = 0;
-  if (!NextLine(&payload, &line)) {
-    return false;
-  }
-  if (KeyedLine(line, "flow", &value)) {
-    if (!ParseU64(value, &out->flow)) {
+  while (!payload.empty()) {
+    EditRecord& record = out->ops.emplace_back();
+    if (!NextLine(&payload, &line) || !KeyedLine(line, "version", &value) ||
+        !ParseU64(value, &record.version)) {
       return false;
     }
-    if (!NextLine(&payload, &line) || !KeyedLine(line, "origin", &value) ||
-        !ParseU64(value, &out->origin_ns)) {
+    if (out->ops.size() == 1 &&
+        (!NextLine(&payload, &line) || !KeyedLine(line, "tick", &value) ||
+         !ParseU64(value, &out->sent_tick))) {
       return false;
     }
+    // Optional causal-trace lines (present only when the origin allocated a
+    // flow id); a record without them decodes with flow == origin_ns == 0.
     if (!NextLine(&payload, &line)) {
       return false;
     }
-  }
-  if (!KeyedLine(line, "op", &value)) {
-    return false;
-  }
-  if (value.size() < 2 || (value[0] != 'i' && value[0] != 'd') || value[1] != ' ') {
-    return false;
-  }
-  out->op.kind = value[0] == 'i' ? EditOp::Kind::kInsert : EditOp::Kind::kDelete;
-  value.remove_prefix(2);
-  size_t space = value.find(' ');
-  if (space == std::string_view::npos) {
-    return false;
-  }
-  if (!ParseI64(value.substr(0, space), &out->op.pos) ||
-      !ParseI64(value.substr(space + 1), &out->op.len)) {
-    return false;
-  }
-  if (out->op.pos < 0 || out->op.len < 0) {
-    return false;
-  }
-  if (out->op.kind == EditOp::Kind::kInsert) {
-    if (payload.size() != static_cast<size_t>(out->op.len)) {
-      return false;  // Length prefix and payload bytes disagree: damaged.
+    if (KeyedLine(line, "flow", &value)) {
+      if (!ParseU64(value, &record.flow)) {
+        return false;
+      }
+      if (!NextLine(&payload, &line) || !KeyedLine(line, "origin", &value) ||
+          !ParseU64(value, &record.origin_ns)) {
+        return false;
+      }
+      if (!NextLine(&payload, &line)) {
+        return false;
+      }
     }
-    out->op.text = std::string(payload);
-  } else if (!payload.empty()) {
-    return false;
+    if (!KeyedLine(line, "op", &value)) {
+      return false;
+    }
+    if (value.size() < 2 || (value[0] != 'i' && value[0] != 'd') || value[1] != ' ') {
+      return false;
+    }
+    EditOp& op = record.op;
+    op.kind = value[0] == 'i' ? EditOp::Kind::kInsert : EditOp::Kind::kDelete;
+    value.remove_prefix(2);
+    size_t space = value.find(' ');
+    if (space == std::string_view::npos) {
+      return false;
+    }
+    if (!ParseI64(value.substr(0, space), &op.pos) ||
+        !ParseI64(value.substr(space + 1), &op.len)) {
+      return false;
+    }
+    if (op.pos < 0 || op.len < 0) {
+      return false;
+    }
+    if (op.kind == EditOp::Kind::kInsert) {
+      if (payload.size() < static_cast<size_t>(op.len)) {
+        return false;  // Length prefix and payload bytes disagree: damaged.
+      }
+      op.text = std::string(payload.substr(0, static_cast<size_t>(op.len)));
+      payload.remove_prefix(static_cast<size_t>(op.len));
+    }
   }
-  return true;
+  return !out->ops.empty();
 }
 
 uint32_t SnapshotSum(uint64_t version, const std::string& document) {

@@ -6,12 +6,17 @@
 //
 //   Hello        "client <name>\ndoc <doc>\nversion <v>\n"
 //   HelloAck     "session <id>\nversion <v>\n"
-//   Edit/Update  "version <v>\ntick <t>\n[flow <f>\norigin <ns>\n]"
+//   Edit/Update  1..N op records back to back, in version order:
+//                "version <v>\n" ["tick <t>\n" (first record only)]
+//                ["flow <f>\norigin <ns>\n"]
 //                "op <i|d> <pos> <len>\n<len bytes>"
 //                (`version` is 0 on client->server Edit: the server assigns;
-//                the optional flow/origin pair is the causal-trace envelope,
-//                present only when the origin allocated a flow id)
-//   Snapshot     "version <v>\nbytes <n>\n" + n bytes of §5 document
+//                the optional flow/origin pair is the record's causal-trace
+//                envelope, present only when its origin allocated a flow id;
+//                a one-record payload is byte-identical to the original
+//                single-op format, and a single-op decoder rejects a
+//                longer one as malformed)
+//   Snapshot     "version <v>\ndocsum <s>\nbytes <n>\n" + n bytes of §5 document
 //   SnapshotReq  "have <v>\n"
 //   Evict        "reason <text>\n"
 //
@@ -26,6 +31,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace atk {
 namespace server {
@@ -54,17 +60,23 @@ struct HelloAckPayload {
   uint64_t version = 0;
 };
 
-struct EditPayload {
+// One edit op and its envelope.  An update frame carries the ops one server
+// pump applied (DESIGN.md §9, "Update batching"), each with its own version
+// so replay and gap detection stay version-for-version.
+struct EditRecord {
   uint64_t version = 0;  // Server-assigned; 0 on submission.
-  uint64_t sent_tick = 0;  // Server tick at fan-out (latency accounting).
   // Causal-trace envelope (DESIGN.md §8): the flow id allocated at the edit
   // origin and the origin's monotonic clock, carried end to end so the last
   // converged replica can close the propagation-latency histogram.  Both
-  // are 0 (and the lines are omitted on the wire) when flow tracing is off,
-  // keeping untraced payloads byte-identical to the PR-6 format.
+  // are 0 (and the lines are omitted on the wire) when flow tracing is off.
   uint64_t flow = 0;
   uint64_t origin_ns = 0;
   EditOp op;
+};
+
+struct EditPayload {
+  uint64_t sent_tick = 0;  // Server tick at fan-out (latency accounting).
+  std::vector<EditRecord> ops;  // 1..N; decoding rejects an empty list.
 };
 
 struct SnapshotPayload {
@@ -90,6 +102,10 @@ bool DecodeHello(std::string_view payload, HelloPayload* out);
 
 std::string EncodeHelloAck(const HelloAckPayload& ack);
 bool DecodeHelloAck(std::string_view payload, HelloAckPayload* out);
+
+// The flow id a frame carrying `edit` is tagged with (Frame::flow, DESIGN.md
+// §8): its first traced op's, or 0 when no op is traced.
+uint64_t FrameFlow(const EditPayload& edit);
 
 std::string EncodeEdit(const EditPayload& edit);
 bool DecodeEdit(std::string_view payload, EditPayload* out);

@@ -185,7 +185,8 @@ TEST(PerfGates, MedianNamesSelectTheRepetitionRule) {
 // every check the shell guard it replaced made: 13 absolute times, 8 gauge
 // floors and caps, the read speedup, the three-way traced check and the two
 // accountant twins.  The four byte gates share the run of the time gate with
-// the same filter, so the 25 old checks run as 21 groups.
+// the same filter, so the 25 old checks run as 21 groups.  The burst
+// frames-per-edit cap is a ninth gauge gate and a 22nd group.
 TEST(PerfGates, CommittedGateFileHoldsEveryCheck) {
   const std::filesystem::path root = ATK_SOURCE_DIR;
   std::ifstream file(root / "bench" / "perf_baseline.json");
@@ -219,11 +220,11 @@ TEST(PerfGates, CommittedGateFileHoldsEveryCheck) {
     }
   }
   EXPECT_EQ(absolute, 13);
-  EXPECT_EQ(rate, 8);
+  EXPECT_EQ(rate, 9);
   EXPECT_EQ(speedup, 1);
   EXPECT_EQ(traced, 3);
   EXPECT_EQ(twins, 2);
-  EXPECT_EQ(GroupGates(gates).size(), 21u);
+  EXPECT_EQ(GroupGates(gates).size(), 22u);
 }
 
 }  // namespace

@@ -374,14 +374,21 @@ TEST(Channel, RttKarnRuleSkipsRetransmittedFrames) {
 
 // -------------------------------------------------------------- Protocol --
 
+EditRecord MakeRecord(uint64_t version, EditOp::Kind kind, int64_t pos, std::string text,
+                      int64_t len = 0) {
+  EditRecord record;
+  record.version = version;
+  record.op.kind = kind;
+  record.op.pos = pos;
+  record.op.len = kind == EditOp::Kind::kInsert ? static_cast<int64_t>(text.size()) : len;
+  record.op.text = std::move(text);
+  return record;
+}
+
 TEST(Protocol, EditPayloadFlowEnvelopeIsOptionalAndRoundTrips) {
   EditPayload payload;
-  payload.version = 4;
   payload.sent_tick = 9;
-  payload.op.kind = EditOp::Kind::kInsert;
-  payload.op.pos = 2;
-  payload.op.len = 3;
-  payload.op.text = "abc";
+  payload.ops.push_back(MakeRecord(4, EditOp::Kind::kInsert, 2, "abc"));
 
   // Untraced payloads stay byte-identical to the pre-tracing wire format:
   // no flow/origin lines appear when flow == 0.
@@ -390,19 +397,21 @@ TEST(Protocol, EditPayloadFlowEnvelopeIsOptionalAndRoundTrips) {
   EXPECT_EQ(untraced.find("origin "), std::string::npos);
   EditPayload back;
   ASSERT_TRUE(DecodeEdit(untraced, &back));
-  EXPECT_EQ(back.flow, 0u);
-  EXPECT_EQ(back.origin_ns, 0u);
+  ASSERT_EQ(back.ops.size(), 1u);
+  EXPECT_EQ(back.ops[0].flow, 0u);
+  EXPECT_EQ(back.ops[0].origin_ns, 0u);
 
-  payload.flow = 77;
-  payload.origin_ns = 123456789;
+  payload.ops[0].flow = 77;
+  payload.ops[0].origin_ns = 123456789;
   std::string traced = EncodeEdit(payload);
   EXPECT_NE(traced.find("flow 77\norigin 123456789\n"), std::string::npos);
   EditPayload traced_back;
   ASSERT_TRUE(DecodeEdit(traced, &traced_back));
-  EXPECT_EQ(traced_back.flow, 77u);
-  EXPECT_EQ(traced_back.origin_ns, 123456789u);
-  EXPECT_EQ(traced_back.op.text, "abc");
-  EXPECT_EQ(traced_back.version, 4u);
+  ASSERT_EQ(traced_back.ops.size(), 1u);
+  EXPECT_EQ(traced_back.ops[0].flow, 77u);
+  EXPECT_EQ(traced_back.ops[0].origin_ns, 123456789u);
+  EXPECT_EQ(traced_back.ops[0].op.text, "abc");
+  EXPECT_EQ(traced_back.ops[0].version, 4u);
   EXPECT_EQ(traced_back.sent_tick, 9u);
 
   // A flow line without its origin partner is a malformed envelope.
@@ -412,6 +421,93 @@ TEST(Protocol, EditPayloadFlowEnvelopeIsOptionalAndRoundTrips) {
   torn.erase(origin_at, std::string("origin 123456789\n").size());
   EditPayload rejected;
   EXPECT_FALSE(DecodeEdit(torn, &rejected));
+}
+
+TEST(Protocol, OneOpPayloadIsByteIdenticalToTheSingleOpFormat) {
+  // Golden bytes of the original single-op format: a one-op payload must
+  // still read with a decoder that knows nothing of batches.
+  EditPayload insert;
+  insert.sent_tick = 9;
+  insert.ops.push_back(MakeRecord(4, EditOp::Kind::kInsert, 2, "abc"));
+  EXPECT_EQ(EncodeEdit(insert), "version 4\ntick 9\nop i 2 3\nabc");
+
+  EditPayload traced_delete;
+  traced_delete.sent_tick = 12;
+  traced_delete.ops.push_back(MakeRecord(5, EditOp::Kind::kDelete, 1, "", 2));
+  traced_delete.ops[0].flow = 77;
+  traced_delete.ops[0].origin_ns = 123456789;
+  EXPECT_EQ(EncodeEdit(traced_delete),
+            "version 5\ntick 12\nflow 77\norigin 123456789\nop d 1 2\n");
+
+  EditPayload traced_insert = insert;
+  traced_insert.ops[0].flow = 3;
+  traced_insert.ops[0].origin_ns = 40;
+  EXPECT_EQ(EncodeEdit(traced_insert), "version 4\ntick 9\nflow 3\norigin 40\nop i 2 3\nabc");
+
+  // And the golden bytes decode back to the same op.
+  EditPayload back;
+  ASSERT_TRUE(DecodeEdit("version 5\ntick 12\nflow 77\norigin 123456789\nop d 1 2\n", &back));
+  ASSERT_EQ(back.ops.size(), 1u);
+  EXPECT_EQ(back.sent_tick, 12u);
+  EXPECT_EQ(back.ops[0].version, 5u);
+  EXPECT_EQ(back.ops[0].flow, 77u);
+  EXPECT_EQ(back.ops[0].op.kind, EditOp::Kind::kDelete);
+  EXPECT_EQ(back.ops[0].op.pos, 1);
+  EXPECT_EQ(back.ops[0].op.len, 2);
+}
+
+TEST(Protocol, MultiOpPayloadRoundTripsWithPerOpFlows) {
+  EditPayload payload;
+  payload.sent_tick = 31;
+  payload.ops.push_back(MakeRecord(10, EditOp::Kind::kInsert, 0, "line\nwith newline"));
+  payload.ops[0].flow = 5;
+  payload.ops[0].origin_ns = 500;
+  payload.ops.push_back(MakeRecord(11, EditOp::Kind::kDelete, 3, "", 4));
+  payload.ops.push_back(MakeRecord(12, EditOp::Kind::kInsert, 7, "version 1\ntick 2\n"));
+  payload.ops[2].flow = 6;
+  payload.ops[2].origin_ns = 600;
+  payload.ops.push_back(MakeRecord(13, EditOp::Kind::kInsert, 1, ""));
+
+  std::string wire = EncodeEdit(payload);
+  // The tick rides the first record only; every record has its own version.
+  EXPECT_EQ(wire.substr(0, 84),
+            "version 10\ntick 31\nflow 5\norigin 500\nop i 0 17\nline\nwith newline"
+            "version 11\nop d 3 4\n");
+  EditPayload back;
+  ASSERT_TRUE(DecodeEdit(wire, &back));
+  EXPECT_EQ(back.sent_tick, 31u);
+  ASSERT_EQ(back.ops.size(), payload.ops.size());
+  for (size_t i = 0; i < payload.ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    EXPECT_EQ(back.ops[i].version, payload.ops[i].version);
+    EXPECT_EQ(back.ops[i].flow, payload.ops[i].flow);
+    EXPECT_EQ(back.ops[i].origin_ns, payload.ops[i].origin_ns);
+    EXPECT_EQ(back.ops[i].op.kind, payload.ops[i].op.kind);
+    EXPECT_EQ(back.ops[i].op.pos, payload.ops[i].op.pos);
+    EXPECT_EQ(back.ops[i].op.len, payload.ops[i].op.len);
+    EXPECT_EQ(back.ops[i].op.text, payload.ops[i].op.text);
+  }
+}
+
+TEST(Protocol, DamagedEditPayloadsAreRejected) {
+  EditPayload out;
+  // Text shorter than the op's length.
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop i 0 5\nabc", &out));
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop i 0 3\nabcversion 2\nop i 0 9\nxy", &out));
+  // Trailing junk after the last op.
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop i 0 3\nabcjunk", &out));
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop d 0 3\n\n", &out));
+  // Negative position or length.
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop d -1 3\n", &out));
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop d 0 -3\n", &out));
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop i 0 2\nab" "version 2\nop d -4 1\n", &out));
+  // An empty op list.
+  EXPECT_FALSE(DecodeEdit("", &out));
+  // A later record repeating the tick line is not a record.
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop d 0 1\nversion 2\ntick 1\nop d 0 1\n", &out));
+  // The well-formed two-op payload those cases were cut from decodes.
+  ASSERT_TRUE(DecodeEdit("version 1\ntick 1\nop i 0 2\nabversion 2\nop d 0 1\n", &out));
+  EXPECT_EQ(out.ops.size(), 2u);
 }
 
 // --------------------------------------------------------------- Reactor --
@@ -548,6 +644,126 @@ TEST(DocumentServer, EditsFanOutToEverySession) {
   EXPECT_EQ(a->applied_version(), h.server.version("notes"));
   EXPECT_EQ(b->applied_version(), h.server.version("notes"));
   EXPECT_GE(h.server.stats().updates_fanned_out, 2u);
+}
+
+// Frames each client's channel has delivered to the session so far.  Over
+// clean links with every session synced, the only sequenced frames left to
+// arrive are kUpdate batches and snapshots.
+std::vector<uint64_t> DeliveredFrames(const Harness& h) {
+  std::vector<uint64_t> delivered;
+  for (const auto& client : h.clients) {
+    delivered.push_back(client->channel().stats().delivered);
+  }
+  return delivered;
+}
+
+EditOp InsertOp(int64_t pos, const std::string& text) {
+  EditOp op;
+  op.kind = EditOp::Kind::kInsert;
+  op.pos = pos;
+  op.len = static_cast<int64_t>(text.size());
+  op.text = text;
+  return op;
+}
+
+TEST(DocumentServer, BurstFromOneTickIsOneUpdateFramePerSession) {
+  Harness h;
+  h.server.HostDocument("notes", MakeDoc("burst base"));
+  constexpr int kClients = 8;
+  for (int i = 0; i < kClients; ++i) {
+    h.AddClient("client-" + std::to_string(i), "notes");
+  }
+  h.Settle();
+  uint64_t version = h.server.version("notes");
+  std::vector<uint64_t> delivered = DeliveredFrames(h);
+  uint64_t fanned = h.server.stats().updates_fanned_out;
+
+  for (int i = 0; i < kClients; ++i) {
+    h.clients[i]->SubmitEdit(InsertOp(0, "<" + std::to_string(i) + ">"));
+  }
+  h.Settle();
+
+  const std::string server_text = h.server.document("notes")->GetAllText();
+  EXPECT_EQ(h.server.version("notes"), version + kClients);
+  EXPECT_EQ(h.server.stats().updates_fanned_out - fanned, static_cast<uint64_t>(kClients));
+  for (int i = 0; i < kClients; ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(h.clients[i]->channel().stats().delivered - delivered[i], 1u)
+        << "the burst reaches each session as one kUpdate frame";
+    EXPECT_EQ(h.clients[i]->applied_version(), version + kClients);
+    EXPECT_EQ(h.clients[i]->replica()->GetAllText(), server_text);
+  }
+}
+
+TEST(DocumentServer, HelloInTheSamePumpAsPendingOpsAppliesEachOpOnce) {
+  Harness h;
+  h.server.HostDocument("notes", MakeDoc("hello base"));
+  ClientSession* alice = h.AddClient("alice", "notes");
+  h.AddClient("bob", "notes");
+  h.AddClient("carol", "notes");
+  h.Settle();
+  ASSERT_EQ(alice->stats().updates_applied, 0u);
+  uint64_t version = h.server.version("notes");
+
+  // One pump sees, in endpoint order: alice re-dialling (her hello comes
+  // before the ops), bob's and carol's edits, then dave's first hello
+  // (after the ops, which his snapshot already holds).
+  alice->Connect(h.links[0]->now());
+  h.clients[1]->SubmitEdit(InsertOp(0, "b "));
+  h.clients[2]->SubmitEdit(InsertOp(0, "c "));
+  ClientSession* dave = h.AddClient("dave", "notes");
+  std::vector<uint64_t> delivered = DeliveredFrames(h);
+  uint64_t attached = h.server.stats().sessions_attached;
+  uint64_t applied = h.server.stats().edits_applied;
+  h.Step();
+  ASSERT_EQ(h.server.stats().sessions_attached, attached + 2) << "both hellos in one pump";
+  ASSERT_EQ(h.server.stats().edits_applied, applied + 2) << "both edits in the same pump";
+  h.Settle();
+
+  const std::string server_text = h.server.document("notes")->GetAllText();
+  EXPECT_EQ(h.server.version("notes"), version + 2);
+  for (size_t i = 0; i < h.clients.size(); ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(h.clients[i]->replica()->GetAllText(), server_text);
+    EXPECT_EQ(h.clients[i]->applied_version(), version + 2);
+  }
+  // Each op applied exactly once per replica: alice's snapshot predates
+  // both ops, dave's holds both.
+  EXPECT_EQ(alice->stats().updates_applied, 2u);
+  EXPECT_EQ(h.clients[1]->stats().updates_applied, 2u);
+  EXPECT_EQ(h.clients[2]->stats().updates_applied, 2u);
+  EXPECT_EQ(dave->stats().updates_applied, 0u);
+  for (size_t i = 1; i <= 2; ++i) {
+    EXPECT_EQ(h.clients[i]->channel().stats().delivered - delivered[i], 1u)
+        << "client " << i << " gets both ops in one kUpdate frame";
+  }
+}
+
+TEST(DocumentServer, SnapshotAfterPendingOpsKeepsEveryReplicaEqual) {
+  Harness h;
+  TextData* doc = h.server.HostDocument("notes", MakeDoc("before"));
+  h.AddClient("alice", "notes");
+  h.AddClient("bob", "notes");
+  h.Settle();
+  std::vector<uint64_t> delivered = DeliveredFrames(h);
+
+  // Direct mutations batch until the next pump; the snapshot that SetText
+  // (kModified) forces flushes the batch ahead of itself.
+  doc->InsertString(0, "one ");
+  doc->InsertString(0, "two ");
+  EXPECT_GT(h.server.pending_frames(), 0u) << "an unflushed batch is pending work";
+  doc->SetText("entirely new content");
+  h.Settle();
+
+  const std::string server_bytes = WriteDocument(*h.server.document("notes"));
+  for (size_t i = 0; i < h.clients.size(); ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(WriteDocument(*h.clients[i]->replica()), server_bytes);
+    EXPECT_EQ(h.clients[i]->applied_version(), h.server.version("notes"));
+    EXPECT_EQ(h.clients[i]->stats().updates_applied, 2u);
+    EXPECT_EQ(h.clients[i]->channel().stats().delivered - delivered[i], 2u)
+        << "one kUpdate frame for both ops, then the snapshot";
+  }
 }
 
 TEST(DocumentServer, EndpointIdsAreNotReusedAfterDetach) {
