@@ -13,13 +13,23 @@
 // "%s"); a name is every byte up to the next comma (getline's ',' field).
 // Once a read fails, every later read fails too, and a failed read leaves
 // its output untouched.
+//
+// Record documents (\begindata{trace}, {memsnapshot}, {editrace}) and the
+// server's frame payloads use a stricter grammar, read by the free functions
+// below: a field is everything between two commas (SplitArgs), and a number
+// field is all decimal digits, an int64_t optionally led by one '-'.  No
+// blanks, no '+', nothing after the digits, and no value out of range.
 
 #ifndef ATK_SRC_DATASTREAM_DIRECTIVE_ARGS_H_
 #define ATK_SRC_DATASTREAM_DIRECTIVE_ARGS_H_
 
+#include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace atk {
 
@@ -129,6 +139,56 @@ class DirectiveArgs {
   bool first_ = true;
   bool failed_ = false;
 };
+
+// Strict decimal fields; false (and `out` untouched) unless the whole field
+// is one in-range number.  from_chars has exactly this grammar: no blanks,
+// no '+', a '-' only for a signed type, and overflow is an error.
+template <typename T>
+bool ParseDecimalField(std::string_view field, T* out) {
+  T value = 0;
+  auto [end, error] = std::from_chars(field.data(), field.data() + field.size(), value);
+  if (error != std::errc() || end != field.data() + field.size()) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+inline bool ParseU64(std::string_view field, uint64_t* out) {
+  return ParseDecimalField(field, out);
+}
+inline bool ParseI64(std::string_view field, int64_t* out) {
+  return ParseDecimalField(field, out);
+}
+
+// The fields between commas; "" is one empty field.  Only the last field of
+// a record directive may be a name, and names never contain a comma.
+inline std::vector<std::string_view> SplitArgs(std::string_view args) {
+  std::vector<std::string_view> fields;
+  size_t start = 0;
+  while (true) {
+    size_t comma = args.find(',', start);
+    if (comma == std::string_view::npos) {
+      fields.push_back(args.substr(start));
+      return fields;
+    }
+    fields.push_back(args.substr(start, comma - start));
+    start = comma + 1;
+  }
+}
+
+// The inverse of SplitArgs, for writers.
+inline std::string Join(std::initializer_list<std::string> fields) {
+  std::string out;
+  bool first = true;
+  for (const std::string& field : fields) {
+    if (!first) {
+      out += ',';
+    }
+    out += field;
+    first = false;
+  }
+  return out;
+}
 
 }  // namespace atk
 

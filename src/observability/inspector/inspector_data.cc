@@ -1,11 +1,11 @@
 #include "src/observability/inspector/inspector_data.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <string_view>
 
 #include "src/base/interaction_manager.h"
+#include "src/datastream/directive_args.h"
 #include "src/observability/memory.h"
 #include "src/observability/trace_component.h"
 #include "src/observability/trace_export.h"
@@ -19,21 +19,6 @@ namespace {
 using observability::Counter;
 using observability::MetricsRegistry;
 using observability::SpanRecord;
-
-bool ParseU64Field(std::string_view field, uint64_t* out) {
-  if (field.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char ch : field) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
-}
 
 }  // namespace
 
@@ -215,7 +200,7 @@ void InspectorData::RebuildSessionsTable() {
     std::string_view rest = name.substr(kPrefix.size());
     size_t dot = rest.find('.');
     uint64_t id = 0;
-    if (dot == std::string_view::npos || !ParseU64Field(rest.substr(0, dot), &id)) {
+    if (dot == std::string_view::npos || !ParseU64(rest.substr(0, dot), &id)) {
       continue;
     }
     std::string_view field = rest.substr(dot + 1);
@@ -340,8 +325,8 @@ bool InspectorData::ReadBody(DataStreamReader& reader, ReadContext& context) {
           uint64_t period = 0;
           uint64_t budget = 0;
           if (comma != std::string_view::npos &&
-              ParseU64Field(token.text.substr(0, comma), &period) &&
-              ParseU64Field(token.text.substr(comma + 1), &budget)) {
+              ParseU64(token.text.substr(0, comma), &period) &&
+              ParseU64(token.text.substr(comma + 1), &budget)) {
             refresh_period_ns_ = period;
             frame_budget_ns_ = budget;
           } else {

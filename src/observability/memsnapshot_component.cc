@@ -1,69 +1,15 @@
 #include "src/observability/memsnapshot_component.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "src/datastream/directive_args.h"
+#include "src/datastream/record_reader.h"
+
 namespace atk {
 namespace observability {
 namespace {
-
-// Splits directive args on commas: all fields before the last are numeric,
-// the last is an account/class name (which never contains a comma).
-std::vector<std::string_view> SplitArgs(std::string_view args) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  while (true) {
-    size_t comma = args.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(args.substr(start));
-      return fields;
-    }
-    fields.push_back(args.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char ch : field) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseI64(std::string_view field, int64_t* out) {
-  bool negative = !field.empty() && field.front() == '-';
-  uint64_t magnitude = 0;
-  if (!ParseU64(negative ? field.substr(1) : field, &magnitude)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
-  return true;
-}
-
-std::string Join(std::initializer_list<std::string> fields) {
-  std::string out;
-  for (const std::string& field : fields) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += field;
-  }
-  return out;
-}
-
-bool AllWhitespace(std::string_view text) {
-  return text.find_first_not_of(" \t\r\n") == std::string_view::npos;
-}
 
 bool WriteSnapshotDocument(const std::string& path) {
   std::ofstream out(path);
@@ -111,66 +57,36 @@ int64_t WriteMemSnapshotComponent(DataStreamWriter& writer, const MemorySnapshot
 
 Status ReadMemSnapshotComponent(DataStreamReader& reader, MemorySnapshot* out) {
   *out = MemorySnapshot{};
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    switch (token.kind) {
-      case DataStreamReader::Token::Kind::kEndData:
-        if (token.type != kMemSnapshotComponentType) {
-          return Status::Corrupt("memsnapshot body closed by \\enddata{" +
-                                 std::string(token.type) + ",...}");
-        }
-        return Status::Ok();
-      case DataStreamReader::Token::Kind::kEof:
-        return Status::Truncated("input ended inside a memsnapshot object");
-      case DataStreamReader::Token::Kind::kDiagnostic:
-        return Status::Corrupt("damaged directive inside a memsnapshot object at offset " +
-                               std::to_string(token.offset));
-      case DataStreamReader::Token::Kind::kText:
-        if (!AllWhitespace(token.text)) {
-          return Status::Corrupt("unexpected payload text inside a memsnapshot object");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kBeginData:
-        // A nested object is not part of the memsnapshot schema; skip it.
-        if (!reader.SkipObject(token.type, token.id)) {
-          return Status::Truncated("input ended inside an object nested in a memsnapshot");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kViewRef:
-        break;  // Placement references are irrelevant to the data.
-      case DataStreamReader::Token::Kind::kDirective: {
-        std::vector<std::string_view> fields = SplitArgs(token.text);
-        uint64_t retired = 0;  // Budget and overlay fields: checked, ignored.
-        if (token.type == "memmeta") {
-          if (fields.size() < 4 || !ParseU64(fields[1], &retired) ||
-              !ParseI64(fields[2], &out->total_bytes) ||
-              !ParseI64(fields[3], &out->peak_bytes)) {
-            return Status::Corrupt("malformed \\memmeta{" + std::string(token.text) + "}");
-          }
-        } else if (token.type == "account") {
-          MemoryAccountSample account;
-          if (fields.size() != 5 || !ParseU64(fields[0], &retired) ||
-              !ParseI64(fields[1], &account.current_bytes) ||
-              !ParseI64(fields[2], &account.peak_bytes) ||
-              !ParseU64(fields[3], &account.charged_bytes)) {
-            return Status::Corrupt("malformed \\account{" + std::string(token.text) + "}");
-          }
-          account.name = std::string(fields[4]);
-          out->accounts.push_back(std::move(account));
-        } else if (token.type == "census") {
-          CensusRow row;
-          if (fields.size() != 3 || !ParseU64(fields[0], &row.count) ||
-              !ParseU64(fields[1], &row.bytes)) {
-            return Status::Corrupt("malformed \\census{" + std::string(token.text) + "}");
-          }
-          row.name = std::string(fields[2]);
-          out->census.push_back(std::move(row));
-        }
-        // Unknown directives are skipped: a newer writer may add fields.
-        break;
+  auto on_directive = [out](std::string_view name, const std::vector<std::string_view>& fields) {
+    uint64_t retired = 0;  // Budget and overlay fields: checked, ignored.
+    if (name == "memmeta") {
+      if (fields.size() < 4 || !ParseU64(fields[1], &retired) ||
+          !ParseI64(fields[2], &out->total_bytes) || !ParseI64(fields[3], &out->peak_bytes)) {
+        return false;
       }
+    } else if (name == "account") {
+      MemoryAccountSample account;
+      if (fields.size() != 5 || !ParseU64(fields[0], &retired) ||
+          !ParseI64(fields[1], &account.current_bytes) ||
+          !ParseI64(fields[2], &account.peak_bytes) ||
+          !ParseU64(fields[3], &account.charged_bytes)) {
+        return false;
+      }
+      account.name = std::string(fields[4]);
+      out->accounts.push_back(std::move(account));
+    } else if (name == "census") {
+      CensusRow row;
+      if (fields.size() != 3 || !ParseU64(fields[0], &row.count) ||
+          !ParseU64(fields[1], &row.bytes)) {
+        return false;
+      }
+      row.name = std::string(fields[2]);
+      out->census.push_back(std::move(row));
     }
-  }
+    // Unknown directives are skipped: a newer writer may add fields.
+    return true;
+  };
+  return ReadRecordBody(reader, kMemSnapshotComponentType, on_directive);
 }
 
 std::string MemSnapshotToDatastream(const MemorySnapshot& snapshot) {
@@ -181,23 +97,9 @@ std::string MemSnapshotToDatastream(const MemorySnapshot& snapshot) {
 }
 
 Status MemSnapshotFromDatastream(std::string_view data, MemorySnapshot* out) {
-  // Borrow `data` directly (it outlives the reader) — no copy into the
-  // reader's pinned buffer.
-  DataStreamReader reader{data};
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    if (token.kind == DataStreamReader::Token::Kind::kEof) {
-      return Status::NotFound("no \\begindata{memsnapshot,...} object in input");
-    }
-    if (token.kind == DataStreamReader::Token::Kind::kBeginData) {
-      if (token.type == kMemSnapshotComponentType) {
-        return ReadMemSnapshotComponent(reader, out);
-      }
-      if (!reader.SkipObject(token.type, token.id)) {
-        return Status::Truncated("input ended while skipping a non-memsnapshot object");
-      }
-    }
-  }
+  return ReadFirstRecord(data, kMemSnapshotComponentType, [out](DataStreamReader& reader) {
+    return ReadMemSnapshotComponent(reader, out);
+  });
 }
 
 }  // namespace observability

@@ -46,9 +46,10 @@ int64_t WriteMemSnapshotComponent(DataStreamWriter& writer, const MemorySnapshot
 
 // Parses a memsnapshot object's body.  Call with the reader positioned just
 // after the consumed \begindata{memsnapshot,...} token; consumes through
-// the matching \enddata.  Unknown directives inside the body are skipped
-// (forward compatibility).  Returns Corrupt on a malformed body, Truncated
-// when the stream ends before \enddata.
+// the matching \enddata.  The damage policy is the shared record reader's
+// (src/datastream/record_reader.h): unknown directives inside the body are
+// skipped (forward compatibility), a malformed body is Corrupt, and a stream
+// that ends before \enddata is Truncated.
 Status ReadMemSnapshotComponent(DataStreamReader& reader, MemorySnapshot* out);
 
 // Convenience round-trip helpers: a whole snapshot to/from a standalone

@@ -1,70 +1,15 @@
 #include "src/observability/trace_component.h"
 
-#include <cctype>
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
+#include "src/datastream/directive_args.h"
+#include "src/datastream/record_reader.h"
+
 namespace atk {
 namespace observability {
-namespace {
-
-// Splits directive args on commas: all fields before the last are numeric,
-// the last is a metric/span name (which never contains a comma).
-std::vector<std::string_view> SplitArgs(std::string_view args) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  while (true) {
-    size_t comma = args.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(args.substr(start));
-      return fields;
-    }
-    fields.push_back(args.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char ch : field) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseI64(std::string_view field, int64_t* out) {
-  bool negative = !field.empty() && field.front() == '-';
-  uint64_t magnitude = 0;
-  if (!ParseU64(negative ? field.substr(1) : field, &magnitude)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
-  return true;
-}
-
-std::string Join(std::initializer_list<std::string> fields) {
-  std::string out;
-  for (const std::string& field : fields) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += field;
-  }
-  return out;
-}
-
-bool AllWhitespace(std::string_view text) {
-  return text.find_first_not_of(" \t\r\n") == std::string_view::npos;
-}
-
-}  // namespace
 
 int64_t WriteTraceComponent(DataStreamWriter& writer, const TraceSnapshot& snap) {
   int64_t id = writer.BeginData(kTraceComponentType);
@@ -111,110 +56,83 @@ int64_t WriteTraceComponent(DataStreamWriter& writer, const TraceSnapshot& snap)
 Status ReadTraceComponent(DataStreamReader& reader, TraceSnapshot* out) {
   *out = TraceSnapshot{};
   uint64_t base_ns = 0;
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    switch (token.kind) {
-      case DataStreamReader::Token::Kind::kEndData:
-        if (token.type != kTraceComponentType) {
-          return Status::Corrupt("trace body closed by \\enddata{" + std::string(token.type) +
-                                 ",...}");
-        }
-        return Status::Ok();
-      case DataStreamReader::Token::Kind::kEof:
-        return Status::Truncated("input ended inside a trace object");
-      case DataStreamReader::Token::Kind::kDiagnostic:
-        return Status::Corrupt("damaged directive inside a trace object at offset " +
-                               std::to_string(token.offset));
-      case DataStreamReader::Token::Kind::kText:
-        if (!AllWhitespace(token.text)) {
-          return Status::Corrupt("unexpected payload text inside a trace object");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kBeginData:
-        // A nested object is not part of the trace schema; skip it whole.
-        if (!reader.SkipObject(token.type, token.id)) {
-          return Status::Truncated("input ended inside an object nested in a trace");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kViewRef:
-        break;  // Placement references are irrelevant to the data.
-      case DataStreamReader::Token::Kind::kDirective: {
-        std::vector<std::string_view> fields = SplitArgs(token.text);
-        if (token.type == "tracemeta") {
-          uint64_t enabled = 0;
-          if (fields.size() < 5 || !ParseU64(fields[1], &enabled) ||
-              !ParseU64(fields[2], &out->spans_recorded) ||
-              !ParseU64(fields[3], &out->spans_dropped) || !ParseU64(fields[4], &base_ns)) {
-            return Status::Corrupt("malformed \\tracemeta{" + std::string(token.text) + "}");
-          }
-          out->trace_enabled = enabled != 0;
-        } else if (token.type == "span") {
-          // 6 fields is the version-1 form (no flow/track/arg); 9 is the
-          // current one.  The name is always the last field.
-          SpanRecord span{};
-          uint64_t start_rel = 0;
-          uint64_t depth = 0;
-          uint64_t thread = 0;
-          uint64_t track = 0;
-          if ((fields.size() != 6 && fields.size() != 9) ||
-              !ParseU64(fields[0], &span.seq) || !ParseU64(fields[1], &start_rel) ||
-              !ParseU64(fields[2], &span.duration_ns) || !ParseU64(fields[3], &depth) ||
-              !ParseU64(fields[4], &thread)) {
-            return Status::Corrupt("malformed \\span{" + std::string(token.text) + "}");
-          }
-          if (fields.size() == 9 &&
-              (!ParseU64(fields[5], &span.flow) || !ParseU64(fields[6], &track) ||
-               !ParseU64(fields[7], &span.arg))) {
-            return Status::Corrupt("malformed \\span{" + std::string(token.text) + "}");
-          }
-          span.start_ns = base_ns + start_rel;
-          span.depth = static_cast<uint16_t>(depth);
-          span.thread = static_cast<uint32_t>(thread);
-          span.track = static_cast<uint32_t>(track);
-          std::string_view name = fields.back();
-          size_t n = std::min(name.size(), SpanRecord::kNameCapacity - 1);
-          std::memcpy(span.name, name.data(), n);
-          span.name[n] = '\0';
-          out->spans.push_back(span);
-        } else if (token.type == "track") {
-          uint64_t track_id = 0;
-          if (fields.size() != 2 || !ParseU64(fields[0], &track_id) || track_id > 0xFFFF) {
-            return Status::Corrupt("malformed \\track{" + std::string(token.text) + "}");
-          }
-          if (out->tracks.size() <= track_id) {
-            out->tracks.resize(track_id + 1);
-          }
-          out->tracks[track_id] = std::string(fields[1]);
-        } else if (token.type == "counter") {
-          CounterSample counter;
-          if (fields.size() != 2 || !ParseU64(fields[0], &counter.value)) {
-            return Status::Corrupt("malformed \\counter{" + std::string(token.text) + "}");
-          }
-          counter.name = std::string(fields[1]);
-          out->counters.push_back(std::move(counter));
-        } else if (token.type == "gauge") {
-          GaugeSample gauge;
-          if (fields.size() != 2 || !ParseI64(fields[0], &gauge.value)) {
-            return Status::Corrupt("malformed \\gauge{" + std::string(token.text) + "}");
-          }
-          gauge.name = std::string(fields[1]);
-          out->gauges.push_back(std::move(gauge));
-        } else if (token.type == "histo") {
-          HistogramSample histo;
-          if (fields.size() != 7 || !ParseU64(fields[0], &histo.count) ||
-              !ParseU64(fields[1], &histo.sum) || !ParseU64(fields[2], &histo.max) ||
-              !ParseU64(fields[3], &histo.p50) || !ParseU64(fields[4], &histo.p95) ||
-              !ParseU64(fields[5], &histo.p99)) {
-            return Status::Corrupt("malformed \\histo{" + std::string(token.text) + "}");
-          }
-          histo.name = std::string(fields[6]);
-          out->histograms.push_back(std::move(histo));
-        }
-        // Unknown directives are skipped: a newer writer may add fields.
-        break;
+  auto on_directive = [&](std::string_view name, const std::vector<std::string_view>& fields) {
+    if (name == "tracemeta") {
+      uint64_t enabled = 0;
+      if (fields.size() < 5 || !ParseU64(fields[1], &enabled) ||
+          !ParseU64(fields[2], &out->spans_recorded) ||
+          !ParseU64(fields[3], &out->spans_dropped) || !ParseU64(fields[4], &base_ns)) {
+        return false;
       }
+      out->trace_enabled = enabled != 0;
+    } else if (name == "span") {
+      // 6 fields is the version-1 form (no flow/track/arg); 9 is the
+      // current one.  The name is always the last field.
+      SpanRecord span{};
+      uint64_t start_rel = 0;
+      uint64_t depth = 0;
+      uint64_t thread = 0;
+      uint64_t track = 0;
+      if ((fields.size() != 6 && fields.size() != 9) || !ParseU64(fields[0], &span.seq) ||
+          !ParseU64(fields[1], &start_rel) || !ParseU64(fields[2], &span.duration_ns) ||
+          !ParseU64(fields[3], &depth) || !ParseU64(fields[4], &thread)) {
+        return false;
+      }
+      if (fields.size() == 9 &&
+          (!ParseU64(fields[5], &span.flow) || !ParseU64(fields[6], &track) ||
+           !ParseU64(fields[7], &span.arg))) {
+        return false;
+      }
+      if (depth > UINT16_MAX || thread > UINT32_MAX || track > UINT32_MAX) {
+        return false;
+      }
+      span.start_ns = base_ns + start_rel;
+      span.depth = static_cast<uint16_t>(depth);
+      span.thread = static_cast<uint32_t>(thread);
+      span.track = static_cast<uint32_t>(track);
+      std::string_view span_name = fields.back();
+      size_t n = std::min(span_name.size(), SpanRecord::kNameCapacity - 1);
+      std::memcpy(span.name, span_name.data(), n);
+      span.name[n] = '\0';
+      out->spans.push_back(span);
+    } else if (name == "track") {
+      uint64_t track_id = 0;
+      if (fields.size() != 2 || !ParseU64(fields[0], &track_id) || track_id > 0xFFFF) {
+        return false;
+      }
+      if (out->tracks.size() <= track_id) {
+        out->tracks.resize(track_id + 1);
+      }
+      out->tracks[track_id] = std::string(fields[1]);
+    } else if (name == "counter") {
+      CounterSample counter;
+      if (fields.size() != 2 || !ParseU64(fields[0], &counter.value)) {
+        return false;
+      }
+      counter.name = std::string(fields[1]);
+      out->counters.push_back(std::move(counter));
+    } else if (name == "gauge") {
+      GaugeSample gauge;
+      if (fields.size() != 2 || !ParseI64(fields[0], &gauge.value)) {
+        return false;
+      }
+      gauge.name = std::string(fields[1]);
+      out->gauges.push_back(std::move(gauge));
+    } else if (name == "histo") {
+      HistogramSample histo;
+      if (fields.size() != 7 || !ParseU64(fields[0], &histo.count) ||
+          !ParseU64(fields[1], &histo.sum) || !ParseU64(fields[2], &histo.max) ||
+          !ParseU64(fields[3], &histo.p50) || !ParseU64(fields[4], &histo.p95) ||
+          !ParseU64(fields[5], &histo.p99)) {
+        return false;
+      }
+      histo.name = std::string(fields[6]);
+      out->histograms.push_back(std::move(histo));
     }
-  }
+    // Unknown directives are skipped: a newer writer may add fields.
+    return true;
+  };
+  return ReadRecordBody(reader, kTraceComponentType, on_directive);
 }
 
 std::string SnapshotToDatastream(const TraceSnapshot& snapshot) {
@@ -225,23 +143,9 @@ std::string SnapshotToDatastream(const TraceSnapshot& snapshot) {
 }
 
 Status SnapshotFromDatastream(std::string_view data, TraceSnapshot* out) {
-  // Borrow `data` directly (it outlives the reader) — no copy into the
-  // reader's pinned buffer.
-  DataStreamReader reader{data};
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    if (token.kind == DataStreamReader::Token::Kind::kEof) {
-      return Status::NotFound("no \\begindata{trace,...} object in input");
-    }
-    if (token.kind == DataStreamReader::Token::Kind::kBeginData) {
-      if (token.type == kTraceComponentType) {
-        return ReadTraceComponent(reader, out);
-      }
-      if (!reader.SkipObject(token.type, token.id)) {
-        return Status::Truncated("input ended while skipping a non-trace object");
-      }
-    }
-  }
+  return ReadFirstRecord(data, kTraceComponentType, [out](DataStreamReader& reader) {
+    return ReadTraceComponent(reader, out);
+  });
 }
 
 }  // namespace observability

@@ -45,9 +45,10 @@ int64_t WriteTraceComponent(DataStreamWriter& writer, const TraceSnapshot& snaps
 
 // Parses a trace object's body.  Call with the reader positioned just after
 // the consumed \begindata{trace,...} token; consumes through the matching
-// \enddata.  Unknown directives inside the body are skipped (forward
-// compatibility).  Returns Corrupt on a malformed body, Truncated when the
-// stream ends before \enddata.
+// \enddata.  The damage policy is the shared record reader's
+// (src/datastream/record_reader.h): unknown directives inside the body are
+// skipped (forward compatibility), a malformed body is Corrupt, and a stream
+// that ends before \enddata is Truncated.
 Status ReadTraceComponent(DataStreamReader& reader, TraceSnapshot* out);
 
 // Convenience round-trip helpers: a whole snapshot to/from a standalone

@@ -17,7 +17,7 @@
 //     itself broken and the owner must reconnect (client) or evict (server).
 //
 // The channel never blocks and owns no thread: Pump(now) is called from the
-// reactor with the link's tick clock.
+// owner's pump with the link's tick clock.
 
 #ifndef ATK_SRC_SERVER_CHANNEL_H_
 #define ATK_SRC_SERVER_CHANNEL_H_
@@ -73,7 +73,7 @@ class Channel {
   // best-effort eviction notices.
   void SendUnsequenced(Frame frame, uint64_t now);
 
-  // One reactor turn: drains the link's inbound bytes through the decoder,
+  // One pump turn: drains the link's inbound bytes through the decoder,
   // processes acks, retransmits what is due, emits a pure ack if needed.
   // Returns the frames to deliver to the layer above, in order.
   std::vector<Frame> Pump(uint64_t now);

@@ -99,14 +99,6 @@ int DocumentServer::AttachLink(SimulatedLink* link) {
   endpoint->link = link;
   endpoint->channel =
       std::make_unique<Channel>(link, LinkDir::kServerToClient, config_.channel);
-  Endpoint* raw = endpoint.get();
-  endpoint->reactor_source = reactor_.AddSource(
-      [raw]() {
-        return raw->link->HasDeliverable(LinkDir::kClientToServer) ||
-               raw->channel->pending() > 0 ||
-               (raw->evict_pending && raw->link->now() >= raw->next_evict_notice_at);
-      },
-      [this, raw]() { PumpEndpoint(*raw); });
   const std::string prefix = "server.endpoint_" + std::to_string(endpoint->id) + ".";
   MetricsRegistry& registry = MetricsRegistry::Instance();
   endpoint->rtt_gauge = &registry.gauge(prefix + "rtt_ticks");
@@ -120,7 +112,6 @@ int DocumentServer::AttachLink(SimulatedLink* link) {
 void DocumentServer::DetachLink(int endpoint_id) {
   for (auto it = endpoints_.begin(); it != endpoints_.end(); ++it) {
     if ((*it)->id == endpoint_id) {
-      reactor_.RemoveSource((*it)->reactor_source);
       endpoints_.erase(it);
       return;
     }
@@ -153,8 +144,16 @@ size_t DocumentServer::pending_frames() const {
 
 void DocumentServer::PumpOnce() {
   observability::TrackScope track(observability::Enabled() ? ServerTrack() : 0);
-  ATK_TRACE_SPAN("server.reactor.pump");
-  reactor_.PumpOnce();
+  ATK_TRACE_SPAN("server.endpoints.pump");
+  // PumpEndpoint never attaches or detaches an endpoint, so the scan can
+  // walk endpoints_ directly.
+  for (const std::unique_ptr<Endpoint>& endpoint : endpoints_) {
+    if (endpoint->link->HasDeliverable(LinkDir::kClientToServer) ||
+        endpoint->channel->pending() > 0 ||
+        (endpoint->evict_pending && endpoint->link->now() >= endpoint->next_evict_notice_at)) {
+      PumpEndpoint(*endpoint);
+    }
+  }
   for (auto& [name, doc] : docs_) {
     (void)name;
     FlushUpdates(*doc);

@@ -1,16 +1,16 @@
 // The compound-document server: many sessions, one object space (PR 6).
 //
-// Hosts shared TextData documents behind a readiness reactor and serves N
-// client sessions over the framed transport.  The §2 observer mechanism is
-// the fan-out spine: the server registers one observer per hosted document,
-// and *any* mutation of the document — an edit applied for a session, or
-// direct programmatic mutation — raises a Change that the observer turns
-// into versioned ops.  The ops a reactor pump applies are the pump's
-// delayed update: at the end of the pump every attached session gets them
-// as one kUpdate frame (DESIGN.md §9, "Update batching").  Views on the
-// client side are pure observers of the replica, so the whole pipeline is
-// document -> observer -> wire -> replica -> observer -> view, with the
-// delayed-update machinery untouched at both ends.
+// Hosts shared TextData documents and serves N client sessions over the
+// framed transport.  The §2 observer mechanism is the fan-out spine: the
+// server registers one observer per hosted document, and *any* mutation of
+// the document — an edit applied for a session, or direct programmatic
+// mutation — raises a Change that the observer turns into versioned ops.
+// The ops a pump applies are the pump's delayed update: at the end of the
+// pump every attached session gets them as one kUpdate frame (DESIGN.md §9,
+// "Update batching").  Views on the client side are pure observers of the
+// replica, so the whole pipeline is document -> observer -> wire -> replica
+// -> observer -> view, with the delayed-update machinery untouched at both
+// ends.
 //
 // Robustness is the spine, not an afterthought:
 //   * edits arrive over reliable channels that survive drop / duplicate /
@@ -36,7 +36,6 @@
 #include "src/components/text/text_data.h"
 #include "src/server/channel.h"
 #include "src/server/protocol.h"
-#include "src/server/reactor.h"
 #include "src/server/transport_sim.h"
 
 namespace atk {
@@ -78,7 +77,7 @@ class DocumentServer {
   std::vector<std::string> document_names() const;
 
   // ---- Endpoints ----
-  // Registers the server side of `link` with the reactor; the client on the
+  // Registers the server side of `link` with the pump; the client on the
   // other end attaches by sending kHello.  Returns the endpoint id.
   int AttachLink(SimulatedLink* link);
   void DetachLink(int endpoint_id);
@@ -94,9 +93,10 @@ class DocumentServer {
   // silent: the next notice retry is up to a full interval away.
   size_t pending_evictions() const;
 
-  // ---- The reactor pump ----
-  // One readiness scan: every endpoint with deliverable frames or pending
-  // retransmissions is pumped; broken/overflowing sessions are evicted.
+  // ---- The pump ----
+  // One readiness scan over the endpoints in attach order: every endpoint
+  // with deliverable frames, pending retransmissions or an eviction notice
+  // due is pumped; broken/overflowing sessions are evicted.
   // Then every document's update batch (the ops applied since the last
   // flush, this pump's and any direct mutation's) goes out, one kUpdate
   // frame per attached session.
@@ -140,7 +140,6 @@ class DocumentServer {
     std::string client;
     std::string doc;
     bool attached = false;
-    int reactor_source = 0;
     // Eviction notices are unsequenced and the transport may eat them; an
     // idle evicted client would otherwise keep a stale replica forever and
     // never learn to reconnect.  While pending, the notice is re-sent
@@ -170,7 +169,6 @@ class DocumentServer {
   HostedDoc* FindDoc(const std::string& name);
 
   Config config_;
-  Reactor reactor_;
   std::map<std::string, std::unique_ptr<HostedDoc>> docs_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   int next_endpoint_id_ = 1;  // Never reused: ids name gauges and DetachLink.

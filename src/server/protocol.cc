@@ -1,9 +1,9 @@
 #include "src/server/protocol.h"
 
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 
+#include "src/datastream/directive_args.h"
 #include "src/server/frame.h"
 
 namespace atk {
@@ -33,35 +33,6 @@ bool KeyedLine(std::string_view line, std::string_view key, std::string_view* va
     return false;
   }
   *value = line.substr(key.size() + 1);
-  return true;
-}
-
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseI64(std::string_view text, int64_t* out) {
-  bool negative = false;
-  if (!text.empty() && text.front() == '-') {
-    negative = true;
-    text.remove_prefix(1);
-  }
-  uint64_t magnitude = 0;
-  if (!ParseU64(text, &magnitude)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
   return true;
 }
 

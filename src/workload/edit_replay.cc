@@ -1,14 +1,16 @@
 #include "src/workload/edit_replay.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "src/components/text/text_data.h"
+#include "src/datastream/directive_args.h"
 #include "src/datastream/reader.h"
+#include "src/datastream/record_reader.h"
 #include "src/datastream/writer.h"
 #include "src/observability/observability.h"
 #include "src/server/client_session.h"
@@ -114,143 +116,61 @@ EditOp ToEditOp(const RecordedEdit& edit) {
   return op;
 }
 
-// ---- Directive arg helpers (the trace_component.cc idiom) ------------------
-
-std::vector<std::string_view> SplitArgs(std::string_view args) {
-  std::vector<std::string_view> fields;
-  size_t start = 0;
-  while (true) {
-    size_t comma = args.find(',', start);
-    if (comma == std::string_view::npos) {
-      fields.push_back(args.substr(start));
-      return fields;
-    }
-    fields.push_back(args.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-bool ParseU64(std::string_view field, uint64_t* out) {
-  if (field.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char ch : field) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseI64(std::string_view field, int64_t* out) {
-  bool negative = !field.empty() && field.front() == '-';
-  uint64_t magnitude = 0;
-  if (!ParseU64(negative ? field.substr(1) : field, &magnitude)) {
-    return false;
-  }
-  *out = negative ? -static_cast<int64_t>(magnitude) : static_cast<int64_t>(magnitude);
-  return true;
-}
-
-std::string Join(std::initializer_list<std::string> fields) {
-  std::string out;
-  for (const std::string& field : fields) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += field;
-  }
-  return out;
-}
-
-bool AllWhitespace(std::string_view text) {
-  return text.find_first_not_of(" \t\r\n") == std::string_view::npos;
-}
-
 Status ReadEditTraceBody(DataStreamReader& reader, EditTrace* out) {
   *out = EditTrace{};
   std::string init_hex;
   uint64_t declared_edits = 0;
   bool saw_meta = false;
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    switch (token.kind) {
-      case DataStreamReader::Token::Kind::kEndData: {
-        if (token.type != kEditTraceType) {
-          return Status::Corrupt("editrace body closed by \\enddata{" +
-                                 std::string(token.type) + ",...}");
-        }
-        if (!saw_meta) {
-          return Status::Corrupt("editrace object without \\replaymeta");
-        }
-        if (!HexDecode(init_hex, &out->initial_text)) {
-          return Status::Corrupt("malformed \\inittext hex payload");
-        }
-        if (out->edits.size() != declared_edits) {
-          return Status::Corrupt("editrace declares " + std::to_string(declared_edits) +
-                                 " edits but carries " + std::to_string(out->edits.size()));
-        }
-        return Status::Ok();
+  auto on_directive = [&](std::string_view name, const std::vector<std::string_view>& fields) {
+    if (name == "replaymeta") {
+      uint64_t version = 0;
+      uint64_t sessions = 0;
+      if (fields.size() < 4 || !ParseU64(fields[0], &version) ||
+          !ParseU64(fields[1], &out->seed) || !ParseU64(fields[2], &sessions) ||
+          !ParseU64(fields[3], &declared_edits) || sessions == 0 || sessions > INT_MAX) {
+        return false;
       }
-      case DataStreamReader::Token::Kind::kEof:
-        return Status::Truncated("input ended inside an editrace object");
-      case DataStreamReader::Token::Kind::kDiagnostic:
-        return Status::Corrupt("damaged directive inside an editrace object at offset " +
-                               std::to_string(token.offset));
-      case DataStreamReader::Token::Kind::kText:
-        if (!AllWhitespace(token.text)) {
-          return Status::Corrupt("unexpected payload text inside an editrace object");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kBeginData:
-        // Nested objects are not part of the editrace schema; skip whole.
-        if (!reader.SkipObject(token.type, token.id)) {
-          return Status::Truncated("input ended inside an object nested in an editrace");
-        }
-        break;
-      case DataStreamReader::Token::Kind::kViewRef:
-        break;
-      case DataStreamReader::Token::Kind::kDirective: {
-        std::vector<std::string_view> fields = SplitArgs(token.text);
-        if (token.type == "replaymeta") {
-          uint64_t version = 0;
-          uint64_t sessions = 0;
-          if (fields.size() < 4 || !ParseU64(fields[0], &version) ||
-              !ParseU64(fields[1], &out->seed) || !ParseU64(fields[2], &sessions) ||
-              !ParseU64(fields[3], &declared_edits) || sessions == 0) {
-            return Status::Corrupt("malformed \\replaymeta{" + std::string(token.text) + "}");
-          }
-          out->sessions = static_cast<int>(sessions);
-          saw_meta = true;
-        } else if (token.type == "inittext") {
-          if (fields.size() != 1) {
-            return Status::Corrupt("malformed \\inittext{" + std::string(token.text) + "}");
-          }
-          init_hex += std::string(fields[0]);
-        } else if (token.type == "edit") {
-          RecordedEdit edit;
-          uint64_t session = 0;
-          if (fields.size() != 6 || !ParseU64(fields[0], &edit.version) ||
-              !ParseU64(fields[1], &session) ||
-              (fields[2] != "i" && fields[2] != "d") || !ParseI64(fields[3], &edit.pos) ||
-              !ParseI64(fields[4], &edit.len) || !HexDecode(fields[5], &edit.text)) {
-            return Status::Corrupt("malformed \\edit{" + std::string(token.text) + "}");
-          }
-          edit.session = static_cast<int>(session);
-          edit.insert = fields[2] == "i";
-          if (edit.insert && edit.len != static_cast<int64_t>(edit.text.size())) {
-            return Status::Corrupt("\\edit insert length disagrees with its payload");
-          }
-          out->edits.push_back(std::move(edit));
-        }
-        // Unknown directives are skipped: a newer recorder may add fields.
-        break;
+      out->sessions = static_cast<int>(sessions);
+      saw_meta = true;
+    } else if (name == "inittext") {
+      if (fields.size() != 1) {
+        return false;
       }
+      init_hex += fields[0];
+    } else if (name == "edit") {
+      RecordedEdit edit;
+      uint64_t session = 0;
+      if (fields.size() != 6 || !ParseU64(fields[0], &edit.version) ||
+          !ParseU64(fields[1], &session) || (fields[2] != "i" && fields[2] != "d") ||
+          !ParseI64(fields[3], &edit.pos) || !ParseI64(fields[4], &edit.len) ||
+          !HexDecode(fields[5], &edit.text) || session > INT_MAX) {
+        return false;
+      }
+      edit.session = static_cast<int>(session);
+      edit.insert = fields[2] == "i";
+      if (edit.insert && edit.len != static_cast<int64_t>(edit.text.size())) {
+        return false;
+      }
+      out->edits.push_back(std::move(edit));
     }
+    // Unknown directives are skipped: a newer recorder may add fields.
+    return true;
+  };
+  Status status = ReadRecordBody(reader, kEditTraceType, on_directive);
+  if (!status.ok()) {
+    return status;
   }
+  if (!saw_meta) {
+    return Status::Corrupt("editrace object without \\replaymeta");
+  }
+  if (!HexDecode(init_hex, &out->initial_text)) {
+    return Status::Corrupt("malformed \\inittext hex payload");
+  }
+  if (out->edits.size() != declared_edits) {
+    return Status::Corrupt("editrace declares " + std::to_string(declared_edits) +
+                           " edits but carries " + std::to_string(out->edits.size()));
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -329,21 +249,9 @@ std::string EditTraceToDatastream(const EditTrace& trace) {
 }
 
 Status EditTraceFromDatastream(std::string_view data, EditTrace* out) {
-  DataStreamReader reader{data};
-  while (true) {
-    DataStreamReader::Token token = reader.Next();
-    if (token.kind == DataStreamReader::Token::Kind::kEof) {
-      return Status::NotFound("no \\begindata{editrace,...} object in input");
-    }
-    if (token.kind == DataStreamReader::Token::Kind::kBeginData) {
-      if (token.type == kEditTraceType) {
-        return ReadEditTraceBody(reader, out);
-      }
-      if (!reader.SkipObject(token.type, token.id)) {
-        return Status::Truncated("input ended while skipping a non-editrace object");
-      }
-    }
-  }
+  return ReadFirstRecord(data, kEditTraceType, [out](DataStreamReader& reader) {
+    return ReadEditTraceBody(reader, out);
+  });
 }
 
 ReplayResult ReplayEditTrace(const EditTrace& trace, const ReplayOptions& options) {

@@ -526,5 +526,44 @@ TEST(DirectiveArgs, RejectsValuesOutsideTheTargetRange) {
   EXPECT_FALSE(args.Int(rest));
 }
 
+TEST(FieldParser, StrictDecimalFieldsRejectAnythingButInRangeDigits) {
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseU64("0", &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(ParseU64("0042", &u));
+  EXPECT_EQ(u, 42u);
+  EXPECT_TRUE(ParseU64("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  for (const char* bad : {"", " 1", "1 ", "+1", "-1", "-0", "1x", "0x10", "1.5",
+                          "18446744073709551616", "99999999999999999999"}) {
+    u = 7;
+    EXPECT_FALSE(ParseU64(bad, &u)) << bad;
+    EXPECT_EQ(u, 7u) << "a rejected field must leave its output untouched: " << bad;
+  }
+
+  int64_t i = 7;
+  EXPECT_TRUE(ParseI64("-0", &i));
+  EXPECT_EQ(i, 0);
+  EXPECT_TRUE(ParseI64("-9223372036854775808", &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(ParseI64("9223372036854775807", &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::max());
+  for (const char* bad : {"", "-", "--1", "+1", " -1", "-1 ", "- 1",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    i = 7;
+    EXPECT_FALSE(ParseI64(bad, &i)) << bad;
+    EXPECT_EQ(i, 7) << bad;
+  }
+}
+
+TEST(FieldParser, SplitArgsAndJoinAreInverse) {
+  EXPECT_EQ(SplitArgs(""), std::vector<std::string_view>{""});
+  EXPECT_EQ(SplitArgs("1,,a.b"), (std::vector<std::string_view>{"1", "", "a.b"}));
+  EXPECT_EQ(SplitArgs("a,"), (std::vector<std::string_view>{"a", ""}));
+  EXPECT_EQ(Join({"1", "", "a.b"}), "1,,a.b");
+  EXPECT_EQ(Join({"", "x"}), ",x");
+  EXPECT_EQ(Join({}), "");
+}
+
 }  // namespace
 }  // namespace atk

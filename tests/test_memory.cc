@@ -197,6 +197,20 @@ TEST(Memory, MemSnapshotRoundTripsThroughDatastream) {
   ExpectSnapshotsEqual(old, original);
 }
 
+TEST(Memory, MemSnapshotNumbersOutOfRangeAreCorrupt) {
+  auto read = [](const std::string& line) {
+    MemorySnapshot out;
+    return observability::MemSnapshotFromDatastream(
+        "\\begindata{memsnapshot,1}\n" + line + "\n\\enddata{memsnapshot,1}\n", &out);
+  };
+  // Used to read with total_bytes = +9223372036854775807.
+  EXPECT_EQ(read("\\memmeta{1,0,-9223372036854775809,5}").code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\memmeta{1,18446744073709551616,0,5}").code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\account{0,1,2,18446744073709551616,a.mem.b}").code(),
+            StatusCode::kCorrupt);
+  EXPECT_TRUE(read("\\memmeta{1,0,-9223372036854775808,5}").ok());
+}
+
 TEST(Memory, LiveSnapshotRoundTripsWithCensus) {
   // The real accountant's snapshot (with the DataObject census hooked up)
   // survives the same round trip.  The census counts *decoded* objects, so

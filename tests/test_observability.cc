@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -21,12 +23,14 @@
 #include "src/class_system/loader.h"
 #include "src/components/table/chart.h"
 #include "src/datastream/reader.h"
+#include "src/observability/memsnapshot_component.h"
 #include "src/observability/observability.h"
 #include "src/observability/trace_component.h"
 #include "src/observability/trace_export.h"
 #include "src/robustness/fault_injector.h"
 #include "src/robustness/salvage.h"
 #include "src/wm/window_system.h"
+#include "src/workload/edit_replay.h"
 #include "tests/test_json.h"
 
 namespace atk {
@@ -404,6 +408,100 @@ TEST(Observability, TraceComponentRoundTrip) {
   std::string salvaged = DataStreamSalvager().Salvage(serialized, &report);
   EXPECT_EQ(salvaged, serialized);
   EXPECT_TRUE(report.clean);
+}
+
+TEST(Observability, TraceNumbersOutOfRangeAreCorrupt) {
+  auto read = [](const std::string& line, TraceSnapshot* out) {
+    return observability::SnapshotFromDatastream(
+        "\\begindata{trace,1}\n" + line + "\n\\enddata{trace,1}\n", out);
+  };
+  TraceSnapshot snap;
+  // These used to read as 7766279631452241919 and +9223372036854775807.
+  EXPECT_EQ(read("\\counter{99999999999999999999,a.b.c}", &snap).code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\gauge{-9223372036854775809,d.e.f}", &snap).code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\gauge{9223372036854775808,d.e.f}", &snap).code(), StatusCode::kCorrupt);
+  // A \\span number too wide for its field used to be narrowed silently
+  // (depth 70000 read as 4464).
+  EXPECT_EQ(read("\\span{1,0,5,70000,0,0,0,0,a.b.c}", &snap).code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\span{1,0,5,0,4294967296,0,0,0,a.b.c}", &snap).code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("\\span{1,0,5,0,0,0,4294967296,0,a.b.c}", &snap).code(), StatusCode::kCorrupt);
+  EXPECT_TRUE(read("\\span{1,0,5,65535,4294967295,0,4294967295,0,a.b.c}", &snap).ok());
+
+  Status status = read("\\gauge{-9223372036854775808,a.b.c}", &snap);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(snap.gauges[0].name, "a.b.c");
+}
+
+// The trace, memsnapshot and editrace readers share one body walk
+// (src/datastream/record_reader.h): the same damage gets the same Status
+// from each of them.
+TEST(RecordReaders, EveryRecordTypeAnswersDamageTheSameWay) {
+  struct RecordType {
+    std::string type;
+    std::function<Status(std::string_view)> read;
+    std::string valid_body;   // The least body that reads ok.
+    std::string wrong_count;  // A known directive with one field too few.
+    std::string non_digit;    // A known directive with a non-digit number.
+  };
+  const std::vector<RecordType> types = {
+      {"trace",
+       [](std::string_view data) {
+         TraceSnapshot out;
+         return observability::SnapshotFromDatastream(data, &out);
+       },
+       "\\tracemeta{2,1,0,0,0}\n", "\\counter{5}\n", "\\counter{5x,a.b}\n"},
+      {"memsnapshot",
+       [](std::string_view data) {
+         observability::MemorySnapshot out;
+         return observability::MemSnapshotFromDatastream(data, &out);
+       },
+       "\\memmeta{1,0,0,0}\n", "\\census{1,a.b}\n", "\\census{1,2x,a.b}\n"},
+      {"editrace",
+       [](std::string_view data) {
+         EditTrace out;
+         return EditTraceFromDatastream(data, &out);
+       },
+       "\\replaymeta{1,7,1,0}\n\\inittext{}\n", "\\edit{1,0,d,0,1}\n",
+       "\\edit{1,0,d,x,1,}\n"},
+  };
+  const std::string nested = "\\begindata{text,9}\nnested words\n\\enddata{text,9}\n";
+  struct DamageCase {
+    const char* name;
+    std::string before;  // Bytes ahead of the record.
+    std::string extra;   // Bytes after the record's valid body.
+    bool closed;         // Whether the record's own \enddata follows.
+    StatusCode want;
+  };
+  const std::vector<DamageCase> cases = {
+      {"intact", "", "", true, StatusCode::kOk},
+      {"found after another object", nested, "", true, StatusCode::kOk},
+      {"truncated body", "", "", false, StatusCode::kTruncated},
+      {"stray payload text", "", "stray words\n", true, StatusCode::kCorrupt},
+      {"blank payload text", "", "  \n\n", true, StatusCode::kOk},
+      {"foreign enddata", "", "\\enddata{text,1}\n", false, StatusCode::kCorrupt},
+      {"nested object skipped", "", nested, true, StatusCode::kOk},
+      {"nested object truncated", "", "\\begindata{text,9}\nx\n", false, StatusCode::kTruncated},
+      {"view reference ignored", "", "\\view{textview,9}\n", true, StatusCode::kOk},
+      {"unknown directive skipped", "", "\\futurefield{3,x}\n", true, StatusCode::kOk},
+  };
+  for (const RecordType& type : types) {
+    const std::string open = "\\begindata{" + type.type + ",1}\n" + type.valid_body;
+    const std::string close = "\\enddata{" + type.type + ",1}\n";
+    auto expect = [&](const char* name, const std::string& data, StatusCode want) {
+      Status status = type.read(data);
+      EXPECT_EQ(status.code(), want)
+          << type.type << ": " << name << ": " << status.ToString() << "\n" << data;
+    };
+    for (const DamageCase& damage : cases) {
+      expect(damage.name, damage.before + open + damage.extra + (damage.closed ? close : ""),
+             damage.want);
+    }
+    expect("wrong field count", open + type.wrong_count + close, StatusCode::kCorrupt);
+    expect("non-digit field", open + type.non_digit + close, StatusCode::kCorrupt);
+    expect("no object", "plain text, no object\n" + nested, StatusCode::kNotFound);
+  }
 }
 
 TEST(Observability, SalvageReportMetricsEquivalence) {

@@ -207,6 +207,24 @@ TEST(EditTrace, TruncatedAndDamagedInputsAreRejected) {
   EXPECT_FALSE(EditTraceFromDatastream("plain text, no object", &parsed).ok());
 }
 
+TEST(EditTrace, OutOfRangeNumbersAreCorrupt) {
+  auto read = [](const std::string& sessions, const std::string& version,
+                 const std::string& session) {
+    EditTrace out;
+    return EditTraceFromDatastream("\\begindata{editrace,1}\n\\replaymeta{1,7," + sessions +
+                                       ",1}\n\\inittext{}\n\\edit{" + version + "," + session +
+                                       ",d,0,1,}\n\\enddata{editrace,1}\n",
+                                   &out);
+  };
+  EXPECT_TRUE(read("1", "5", "0").ok());
+  EXPECT_TRUE(read("2147483647", "18446744073709551615", "2147483647").ok());
+  // A 20-digit version used to wrap and read.
+  EXPECT_EQ(read("1", "99999999999999999999", "0").code(), StatusCode::kCorrupt);
+  // Session counts and ids past INT_MAX used to be narrowed into an int.
+  EXPECT_EQ(read("4294967296", "5", "0").code(), StatusCode::kCorrupt);
+  EXPECT_EQ(read("1", "5", "2147483648").code(), StatusCode::kCorrupt);
+}
+
 // ---- Replay determinism -----------------------------------------------------
 
 TEST(Replay, CleanReplayMatchesOracle) {

@@ -26,7 +26,6 @@
 #include "src/server/flow_trace.h"
 #include "src/server/frame.h"
 #include "src/server/protocol.h"
-#include "src/server/reactor.h"
 #include "src/server/transport_sim.h"
 #include "src/workload/session_trace.h"
 
@@ -510,27 +509,15 @@ TEST(Protocol, DamagedEditPayloadsAreRejected) {
   EXPECT_EQ(out.ops.size(), 2u);
 }
 
-// --------------------------------------------------------------- Reactor --
-
-TEST(Reactor, FiresReadySourcesAndDueTimers) {
-  Reactor reactor;
-  bool ready = false;
-  int fired = 0;
-  reactor.AddSource([&] { return ready; }, [&] { ++fired; });
-  reactor.PumpOnce();
-  EXPECT_EQ(fired, 0);
-  ready = true;
-  reactor.PumpOnce();
-  EXPECT_EQ(fired, 1);
-
-  int timer_fired = 0;
-  reactor.AddTimer(10, [&] { ++timer_fired; });
-  reactor.Advance(9);
-  EXPECT_EQ(timer_fired, 0);
-  reactor.Advance(10);
-  EXPECT_EQ(timer_fired, 1);
-  reactor.Advance(100);
-  EXPECT_EQ(timer_fired, 1);  // One-shot.
+TEST(Protocol, OutOfRangeEditNumbersAreRejected) {
+  EditPayload out;
+  ASSERT_TRUE(DecodeEdit("version 18446744073709551615\ntick 1\nop d 0 1\n", &out));
+  EXPECT_EQ(out.ops[0].version, UINT64_MAX);
+  // One past UINT64_MAX used to wrap to version 0 and decode.
+  EXPECT_FALSE(DecodeEdit("version 18446744073709551616\ntick 1\nop d 0 1\n", &out));
+  EXPECT_FALSE(DecodeEdit("version 99999999999999999999\ntick 1\nop d 0 1\n", &out));
+  // 2^64 + 1 used to wrap to a length of 1.
+  EXPECT_FALSE(DecodeEdit("version 1\ntick 1\nop d 0 18446744073709551617\n", &out));
 }
 
 // ------------------------------------------------------------- Sessions ---
