@@ -1,49 +1,12 @@
 #include "src/datastream/reader.h"
 
-#include <cctype>
 #include <cstring>
 
+#include "src/datastream/scanner.h"
 #include "src/observability/observability.h"
 
 namespace atk {
 namespace {
-
-bool IsDirectiveNameChar(char ch) {
-  return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' || ch == '-';
-}
-
-// Parses "type,id" marker args.  Returns false on malformed args.  `type`
-// stays a slice of `args` — no copy.
-bool ParseMarkerArgs(std::string_view args, std::string_view* type, int64_t* id) {
-  size_t comma = args.rfind(',');
-  if (comma == std::string_view::npos || comma == 0 || comma + 1 >= args.size()) {
-    return false;
-  }
-  *type = args.substr(0, comma);
-  int64_t value = 0;
-  for (size_t i = comma + 1; i < args.size(); ++i) {
-    char ch = args[i];
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + (ch - '0');
-  }
-  *id = value;
-  return true;
-}
-
-int HexValue(char ch) {
-  if (ch >= '0' && ch <= '9') {
-    return ch - '0';
-  }
-  if (ch >= 'a' && ch <= 'f') {
-    return ch - 'a' + 10;
-  }
-  if (ch >= 'A' && ch <= 'F') {
-    return ch - 'A' + 10;
-  }
-  return -1;
-}
 
 // Next backslash at or after `from`, or npos.  The zero-copy lexer's inner
 // loop: every byte between backslashes is covered by one memchr call.
@@ -184,54 +147,37 @@ std::string_view DataStreamReader::Intern(std::string&& pending) {
   return arena_.back();
 }
 
-bool DataStreamReader::LexDirective(Token* token) {
-  // pos_ points at '\'.  A directive is \name{args} with no newline between
-  // the backslash and the closing brace.
-  size_t start = pos_;
-  size_t p = pos_ + 1;
-  size_t name_start = p;
-  while (p < data_.size() && IsDirectiveNameChar(data_[p])) {
-    ++p;
-  }
-  if (p == name_start || p >= data_.size() || data_[p] != '{') {
-    return false;
-  }
-  std::string_view name = data_.substr(name_start, p - name_start);
-  ++p;  // consume '{'
-  size_t args_start = p;
-  while (p < data_.size() && data_[p] != '}' && data_[p] != '\n') {
-    ++p;
-  }
-  if (p >= data_.size() || data_[p] != '}') {
+DataStreamReader::Token DataStreamReader::LexDirective(const BackslashUnit& unit, size_t start) {
+  Token token;
+  token.offset = start;
+  token.type = unit.name;
+  pos_ = unit.end;
+  if (unit.kind == BackslashUnit::Kind::kUnterminated) {
     // `\name{` with no closing brace on the line: damaged, not text.  The
     // token carries the raw bytes (up to the newline / EOF) verbatim so a
-    // salvage pass can quarantine them without loss.
-    token->kind = Token::Kind::kDiagnostic;
-    token->type = name;
-    token->text = data_.substr(start, p - start);
-    token->offset = start;
-    pos_ = p;  // A trailing newline stays in the stream as ordinary text.
+    // salvage pass can quarantine them without loss.  A trailing newline
+    // stays in the stream as ordinary text.
+    token.kind = Token::Kind::kDiagnostic;
+    token.text = data_.substr(start, pos_ - start);
     AddDiagnostic(StatusCode::kCorrupt, start,
-                  "unterminated directive \\" + std::string(name) + "{...");
-    return true;
+                  "unterminated directive \\" + std::string(unit.name) + "{...");
+    return token;
   }
-  std::string_view args = data_.substr(args_start, p - args_start);
-  pos_ = p + 1;  // past '}'
-
+  std::string_view name = unit.name;
+  std::string_view args = unit.args;
   if (name == "begindata" || name == "enddata") {
     std::string_view type;
     int64_t id = 0;
     if (!ParseMarkerArgs(args, &type, &id)) {
-      // Marker with a missing/non-numeric id: surfaced as a diagnostic token
-      // (the raw bytes preserved), never mistaken for content.
-      token->kind = Token::Kind::kDiagnostic;
-      token->type = name;
-      token->text = data_.substr(start, pos_ - start);
-      token->offset = start;
+      // Marker with a missing, non-numeric or out-of-range id: surfaced as a
+      // diagnostic token (the raw bytes preserved), never mistaken for
+      // content.
+      token.kind = Token::Kind::kDiagnostic;
+      token.text = data_.substr(start, pos_ - start);
       AddDiagnostic(StatusCode::kCorrupt, start,
                     "malformed \\" + std::string(name) + " marker args: {" +
                         std::string(args) + "}");
-      return true;
+      return token;
     }
     // One trailing newline is part of the marker's formatting.
     if (pos_ < data_.size() && data_[pos_] == '\n') {
@@ -242,7 +188,7 @@ bool DataStreamReader::LexDirective(Token* token) {
       static observability::Gauge& depth_max =
           observability::MetricsRegistry::Instance().gauge("datastream.reader.depth_max");
       depth_max.SetMax(static_cast<int64_t>(open_.size()));
-      token->kind = Token::Kind::kBeginData;
+      token.kind = Token::Kind::kBeginData;
     } else {
       if (!open_.empty() && open_.back().type == type && open_.back().id == id) {
         open_.pop_back();
@@ -254,36 +200,30 @@ bool DataStreamReader::LexDirective(Token* token) {
           open_.pop_back();
         }
       }
-      token->kind = Token::Kind::kEndData;
+      token.kind = Token::Kind::kEndData;
     }
-    token->type = type;
-    token->id = id;
-    token->offset = start;
-    return true;
+    token.type = type;
+    token.id = id;
+    return token;
   }
   if (name == "view") {
     std::string_view type;
     int64_t id = 0;
     if (ParseMarkerArgs(args, &type, &id)) {
-      token->kind = Token::Kind::kViewRef;
-      token->type = type;
-      token->id = id;
-      token->offset = start;
-      return true;
+      token.kind = Token::Kind::kViewRef;
+      token.type = type;
+      token.id = id;
+      return token;
     }
-    token->kind = Token::Kind::kDiagnostic;
-    token->type = name;
-    token->text = data_.substr(start, pos_ - start);
-    token->offset = start;
+    token.kind = Token::Kind::kDiagnostic;
+    token.text = data_.substr(start, pos_ - start);
     AddDiagnostic(StatusCode::kCorrupt, start,
                   "malformed \\view args: {" + std::string(args) + "}");
-    return true;
+    return token;
   }
-  token->kind = Token::Kind::kDirective;
-  token->type = name;
-  token->text = args;
-  token->offset = start;
-  return true;
+  token.kind = Token::Kind::kDirective;
+  token.text = args;
+  return token;
 }
 
 DataStreamReader::Token DataStreamReader::Lex() {
@@ -311,54 +251,41 @@ DataStreamReader::Token DataStreamReader::Lex() {
       pos_ = data_.size();
       break;
     }
-    pos_ = b;
-    // Escapes that continue the text run.
-    if (b + 1 < data_.size() && data_[b + 1] == '\\') {
+    BackslashUnit unit = ScanBackslash(data_, b);
+    if (unit.kind == BackslashUnit::Kind::kEscape) {
+      // An escape continues the text run.
       flush_segment(b);
-      pending += '\\';
+      pending += unit.byte;
       materialized = true;
-      pos_ = b + 2;
+      pos_ = unit.end;
       seg_start = pos_;
       continue;
     }
-    if (b + 4 < data_.size() && data_[b + 1] == 'x' && data_[b + 2] == '{') {
-      int hi = HexValue(data_[b + 3]);
-      int lo = HexValue(data_[b + 4]);
-      if (hi >= 0 && lo >= 0 && b + 5 < data_.size() && data_[b + 5] == '}') {
-        flush_segment(b);
-        pending += static_cast<char>(hi * 16 + lo);
-        materialized = true;
-        pos_ = b + 6;
-        seg_start = pos_;
-        continue;
-      }
+    if (unit.kind == BackslashUnit::Kind::kLoneBackslash) {
+      // Recovered as literal text (the paper's partial-destruction recovery
+      // posture).  The byte is its own unescaped form, so the segment
+      // continues through it — no materialization needed.
+      AddDiagnostic(StatusCode::kCorrupt, b, "lone backslash recovered as literal text");
+      pos_ = unit.end;
+      continue;
     }
-    // Try a directive.  On success, flush accumulated text first (the
-    // directive token is held as the pending stash).
-    Token directive;
-    if (LexDirective(&directive)) {
-      bool have_view_text = !materialized && b > text_start;
-      if (!materialized && !have_view_text) {
-        return directive;
-      }
-      token.kind = Token::Kind::kText;
-      token.offset = text_start;
-      if (materialized) {
-        flush_segment(b);
-        token.text = Intern(std::move(pending));
-      } else {
-        token.text = data_.substr(text_start, b - text_start);
-      }
-      stashed_ = directive;
-      has_stashed_ = true;
-      return token;
+    // A directive, whole or damaged.  Accumulated text is returned first and
+    // the directive token is held as the pending stash.
+    Token directive = LexDirective(unit, b);
+    if (!materialized && b == text_start) {
+      return directive;
     }
-    // Lone backslash that is not an escape and not a directive: recovered as
-    // literal text (the paper's partial-destruction recovery posture).  The
-    // byte is its own unescaped form, so the segment continues through it —
-    // no materialization needed.
-    AddDiagnostic(StatusCode::kCorrupt, b, "lone backslash recovered as literal text");
-    pos_ = b + 1;
+    token.kind = Token::Kind::kText;
+    token.offset = text_start;
+    if (materialized) {
+      flush_segment(b);
+      token.text = Intern(std::move(pending));
+    } else {
+      token.text = data_.substr(text_start, b - text_start);
+    }
+    stashed_ = directive;
+    has_stashed_ = true;
+    return token;
   }
   if (materialized) {
     flush_segment(pos_);
@@ -385,10 +312,10 @@ DataStreamReader::Token DataStreamReader::Lex() {
 
 bool DataStreamReader::SkipObject(std::string_view type, int64_t id,
                                   std::string_view* raw_body) {
-  // Bracket-match on raw input without interpreting component payloads.
-  // We scan for \begindata / \enddata directives only; escaped backslashes
-  // cannot form a directive because "\\begindata" parses as literal
-  // backslash followed by plain text.
+  // Bracket-match on raw input without interpreting component payloads:
+  // only \begindata / \enddata directive names count, so a damaged marker
+  // still moves the depth.  The scanner reads "\\begindata" as an escaped
+  // backslash then text, and an unterminated "\name{" ends at its newline.
   if (has_peek_) {
     // A token was peeked past the begindata marker: rewind so its bytes are
     // part of the skipped body (they belong to the object).
@@ -398,60 +325,35 @@ bool DataStreamReader::SkipObject(std::string_view type, int64_t id,
   size_t body_start = pos_;
   int depth_needed = 1;
   size_t p = pos_;
-  while (p < data_.size()) {
-    size_t b = FindBackslash(data_, p);
-    if (b == std::string_view::npos) {
-      break;
-    }
-    p = b;
-    if (p + 1 < data_.size() && data_[p + 1] == '\\') {
-      p += 2;
+  for (size_t b; (b = FindBackslash(data_, p)) != std::string_view::npos;) {
+    BackslashUnit unit = ScanBackslash(data_, b);
+    p = unit.end;
+    if (unit.kind != BackslashUnit::Kind::kDirective) {
       continue;
     }
-    // Try to read a directive name.
-    size_t q = p + 1;
-    size_t name_start = q;
-    while (q < data_.size() && IsDirectiveNameChar(data_[q])) {
-      ++q;
-    }
-    if (q == name_start || q >= data_.size() || data_[q] != '{') {
-      ++p;
-      continue;
-    }
-    std::string_view name = data_.substr(name_start, q - name_start);
-    size_t args_start = q + 1;
-    size_t close = data_.find('}', args_start);
-    if (close == std::string_view::npos || data_.find('\n', args_start) < close) {
-      ++p;
-      continue;
-    }
-    if (name == "begindata") {
+    if (unit.name == "begindata") {
       ++depth_needed;
-    } else if (name == "enddata") {
-      --depth_needed;
-      if (depth_needed == 0) {
-        std::string_view args = data_.substr(args_start, close - args_start);
-        std::string_view end_type;
-        int64_t end_id = 0;
-        if (!ParseMarkerArgs(args, &end_type, &end_id) || end_type != type || end_id != id) {
-          AddDiagnostic(StatusCode::kCorrupt, p,
-                        "skip of \\begindata{" + std::string(type) + "," + std::to_string(id) +
-                            "} closed by non-matching \\enddata{" + std::string(args) + "}");
-        }
-        pos_ = close + 1;
-        if (pos_ < data_.size() && data_[pos_] == '\n') {
-          ++pos_;
-        }
-        if (raw_body != nullptr) {
-          *raw_body = data_.substr(body_start, p - body_start);
-        }
-        if (!open_.empty()) {
-          open_.pop_back();
-        }
-        return true;
+    } else if (unit.name == "enddata" && --depth_needed == 0) {
+      std::string_view end_type;
+      int64_t end_id = 0;
+      if (!ParseMarkerArgs(unit.args, &end_type, &end_id) || end_type != type || end_id != id) {
+        AddDiagnostic(StatusCode::kCorrupt, b,
+                      "skip of \\begindata{" + std::string(type) + "," + std::to_string(id) +
+                          "} closed by non-matching \\enddata{" + std::string(unit.args) +
+                          "}");
       }
+      pos_ = unit.end;
+      if (pos_ < data_.size() && data_[pos_] == '\n') {
+        ++pos_;
+      }
+      if (raw_body != nullptr) {
+        *raw_body = data_.substr(body_start, b - body_start);
+      }
+      if (!open_.empty()) {
+        open_.pop_back();
+      }
+      return true;
     }
-    p = close + 1;
   }
   // Ran off the end: truncated object.
   MarkTruncated(data_.size(), "input ended while skipping \\begindata{" +

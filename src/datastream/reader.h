@@ -21,13 +21,16 @@
 // which are bulk-unescaped on demand).  Either way the rule is the same:
 // **tokens die when the reader dies.**  Callers that need bytes beyond the
 // reader's lifetime must copy (UnknownObject does).  Text scanning is
-// memchr-driven: bytes between backslashes are never touched one at a time.
+// memchr-driven: bytes between backslashes are never touched one at a time,
+// and what starts at each backslash is read by the one §5 scanner
+// (src/datastream/scanner.h) that SkipObject and the salvager use too.
 //
 // Malformed input is never silently swallowed: damaged directives (a marker
-// with a missing id, an unterminated `{...}`, a non-numeric id) surface as
-// kDiagnostic tokens carrying the raw damaged bytes, and every recovery the
-// reader performs is recorded in `diagnostics()` with a byte offset, so a
-// salvage pass (src/robustness/salvage.h) can locate the damage exactly.
+// with a missing id, an unterminated `{...}`, an id that is not digits or
+// does not fit int64_t) surface as kDiagnostic tokens carrying the raw
+// damaged bytes, and every recovery the reader performs is recorded in
+// `diagnostics()` with a byte offset, so a salvage pass
+// (src/robustness/salvage.h) can locate the damage exactly.
 // Offsets are byte positions in the pinned buffer.
 //
 // Behavioural identity with the pre-rewrite lexer (token boundaries, token
@@ -50,6 +53,8 @@
 #include "src/observability/memory.h"
 
 namespace atk {
+
+struct BackslashUnit;
 
 // Memory accounts for the reader's owned pools: `datastream.mem.pinned`
 // (owning-constructor backing buffers) and `datastream.mem.scratch` (the
@@ -152,11 +157,11 @@ class DataStreamReader {
   };
 
   Token Lex();
-  // Parses "\name{args}" at pos_ (which points at the backslash).  Returns
-  // false when it is not a well-formed directive (treated as literal text).
-  // Damaged directives (unterminated brace, malformed marker args) return
-  // true with a kDiagnostic token so the damage is surfaced, not swallowed.
-  bool LexDirective(Token* token);
+  // The token for a scanned directive or unterminated directive starting at
+  // `start`; moves pos_ past it.  Damaged directives (unterminated brace,
+  // malformed marker args) become kDiagnostic tokens so the damage is
+  // surfaced, not swallowed.
+  Token LexDirective(const BackslashUnit& unit, size_t start);
   void AddDiagnostic(StatusCode code, size_t offset, std::string message);
   void MarkTruncated(size_t offset, std::string message);
   void RewindPeek();

@@ -1,20 +1,11 @@
 #include "src/datastream/writer.h"
 
-#include <cstdio>
 #include <cstring>
 
+#include "src/datastream/scanner.h"
 #include "src/observability/observability.h"
 
 namespace atk {
-namespace {
-
-// Bytes WriteText passes through verbatim; everything else is escaped.
-bool IsCleanTextByte(char ch) {
-  unsigned char byte = static_cast<unsigned char>(ch);
-  return ch == '\n' || ch == '\t' || (byte >= 0x20 && byte < 0x7F);
-}
-
-}  // namespace
 
 DataStreamWriter::DataStreamWriter(std::ostream& out) : out_(out) {}
 
@@ -139,53 +130,13 @@ void DataStreamWriter::WriteDirective(std::string_view name, std::string_view ar
   FlushChunk();
 }
 
-void DataStreamWriter::EmitEscapedRun(std::string_view run) {
-  size_t i = 0;
-  while (i < run.size()) {
-    size_t j = i;
-    while (j < run.size() && IsCleanTextByte(run[j])) {
-      ++j;
-    }
-    if (j > i) {
-      EmitChunk(run.substr(i, j - i));
-    }
-    if (j >= run.size()) {
-      break;
-    }
-    // Hex-escape so the stream stays 7-bit printable (mailable, §5).
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "\\x{%02x}",
-                  static_cast<unsigned char>(run[j]));
-    EmitChunk(buf);
-    i = j + 1;
-  }
-}
-
-void DataStreamWriter::WriteTextUnflushed(std::string_view text) {
-  // Split into backslash-free runs with memchr; each clean run lands in the
-  // chunk as one append.
-  size_t i = 0;
-  while (i < text.size()) {
-    const void* hit = std::memchr(text.data() + i, '\\', text.size() - i);
-    size_t run_end = hit == nullptr
-                         ? text.size()
-                         : static_cast<size_t>(static_cast<const char*>(hit) - text.data());
-    EmitEscapedRun(text.substr(i, run_end - i));
-    if (run_end < text.size()) {
-      EmitChunk("\\\\");
-      ++run_end;
-    }
-    i = run_end;
-  }
-}
-
 void DataStreamWriter::WriteText(std::string_view text) {
-  WriteTextUnflushed(text);
+  AppendEscapedPayload(chunk_, text);
   FlushChunk();
 }
 
 void DataStreamWriter::WriteLine(std::string_view line) {
-  WriteTextUnflushed(line);
+  AppendEscapedPayload(chunk_, line);
   EmitChunk("\n");
   FlushChunk();
 }

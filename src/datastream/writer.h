@@ -15,12 +15,12 @@
 //
 // Emission is chunked (PR 5): each public call assembles its bytes in an
 // internal chunk buffer and hands the ostream one write, instead of one
-// ostream::put per byte.  WriteText splits the payload into backslash-free
-// runs with memchr and appends each clean run in one go; line/column stats
-// are updated per run, not per byte.  The chunk is flushed before a public
-// call returns, so `out` always reflects everything written so far — callers
-// that inspect the underlying streambuf mid-document see the same bytes the
-// per-char writer produced.
+// ostream::put per byte.  WriteText escapes with AppendEscapedPayload, the
+// §5 scanner's escaper (src/datastream/scanner.h), which appends each clean
+// run in one go; line/column stats are updated per line segment, not per
+// byte.  The chunk is flushed before a public call returns, so `out` always
+// reflects everything written so far — callers that inspect the underlying
+// streambuf mid-document see the same bytes the per-char writer produced.
 
 #ifndef ATK_SRC_DATASTREAM_WRITER_H_
 #define ATK_SRC_DATASTREAM_WRITER_H_
@@ -106,12 +106,9 @@ class DataStreamWriter {
 
   // Appends to the pending chunk; stats are settled when the chunk flushes.
   void EmitChunk(std::string_view s);
-  // Escapes non-printable bytes in a backslash-free run into the chunk.
-  void EmitEscapedRun(std::string_view run);
   // One ostream write for the pending chunk + bulk line/column accounting.
   void FlushChunk();
   void Account(std::string_view s);
-  void WriteTextUnflushed(std::string_view text);
 
   std::ostream& out_;
   std::string chunk_;

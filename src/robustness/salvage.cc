@@ -1,53 +1,17 @@
 #include "src/robustness/salvage.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <set>
 
+#include "src/datastream/scanner.h"
 #include "src/observability/observability.h"
 
 namespace atk {
 namespace {
 
-bool IsDirectiveNameChar(char ch) {
-  return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' || ch == '-';
-}
-
-int HexValue(char ch) {
-  if (ch >= '0' && ch <= '9') {
-    return ch - '0';
-  }
-  if (ch >= 'a' && ch <= 'f') {
-    return ch - 'a' + 10;
-  }
-  if (ch >= 'A' && ch <= 'F') {
-    return ch - 'A' + 10;
-  }
-  return -1;
-}
-
-// Same grammar as the reader's marker args: "type,id", id all digits.
-bool ParseMarkerArgs(std::string_view args, std::string* type, int64_t* id) {
-  size_t comma = args.rfind(',');
-  if (comma == std::string_view::npos || comma == 0 || comma + 1 >= args.size()) {
-    return false;
-  }
-  *type = std::string(args.substr(0, comma));
-  int64_t value = 0;
-  for (size_t i = comma + 1; i < args.size(); ++i) {
-    char ch = args[i];
-    if (!std::isdigit(static_cast<unsigned char>(ch))) {
-      return false;
-    }
-    value = value * 10 + (ch - '0');
-  }
-  *id = value;
-  return true;
-}
-
-// The scanner decomposes the raw input into a flat item list; the rebuild
-// pass then repairs structure over items instead of bytes.
+// ScanItems decomposes the raw input into a flat item list, one backslash
+// unit at a time (src/datastream/scanner.h, the reader's scanner); the
+// rebuild pass then repairs structure over items instead of bytes.
 enum class ItemKind {
   kBytes,   // Clean payload (escapes, text, non-marker directives).
   kBegin,   // Well-formed \begindata{type,id} (span includes its newline).
@@ -67,115 +31,55 @@ struct Item {
 std::vector<Item> ScanItems(std::string_view input) {
   std::vector<Item> items;
   size_t run_start = 0;
-  size_t p = 0;
-  auto flush_bytes = [&](size_t upto) {
-    if (upto > run_start) {
-      items.push_back(Item{ItemKind::kBytes, run_start, upto, "", 0});
+  // Escapes and well-formed directives other than markers stay in the
+  // current run of clean payload; a marker or a damaged unit ends it.
+  auto push = [&](ItemKind kind, size_t begin, size_t end, std::string_view type, int64_t id) {
+    if (begin > run_start) {
+      items.push_back(Item{ItemKind::kBytes, run_start, begin, "", 0});
     }
+    items.push_back(Item{kind, begin, end, std::string(type), id});
+    run_start = end;
   };
-  while (p < input.size()) {
-    if (input[p] != '\\') {
-      ++p;
-      continue;
-    }
-    // Escapes that remain ordinary payload, mirroring the reader exactly.
-    if (p + 1 < input.size() && input[p + 1] == '\\') {
-      p += 2;
-      continue;
-    }
-    if (p + 5 < input.size() && input[p + 1] == 'x' && input[p + 2] == '{' &&
-        HexValue(input[p + 3]) >= 0 && HexValue(input[p + 4]) >= 0 && input[p + 5] == '}') {
-      p += 6;
-      continue;
-    }
-    size_t q = p + 1;
-    size_t name_start = q;
-    while (q < input.size() && IsDirectiveNameChar(input[q])) {
-      ++q;
-    }
-    if (q == name_start || q >= input.size() || input[q] != '{') {
-      // Lone backslash: 1 byte of damage.
-      flush_bytes(p);
-      items.push_back(Item{ItemKind::kDamage, p, p + 1, "", 0});
-      run_start = p + 1;
-      ++p;
-      continue;
-    }
-    std::string name(input.substr(name_start, q - name_start));
-    size_t args_start = q + 1;
-    size_t c = args_start;
-    while (c < input.size() && input[c] != '}' && input[c] != '\n') {
-      ++c;
-    }
-    if (c >= input.size() || input[c] != '}') {
-      // Unterminated directive: damaged through the end of the line.
-      flush_bytes(p);
-      items.push_back(Item{ItemKind::kDamage, p, c, name, 0});
-      run_start = c;
-      p = c;
-      continue;
-    }
-    std::string_view args = input.substr(args_start, c - args_start);
-    size_t span_end = c + 1;
-    if (name == "begindata" || name == "enddata") {
-      std::string type;
-      int64_t id = 0;
-      if (ParseMarkerArgs(args, &type, &id)) {
-        // One trailing newline belongs to the marker (reader rule).
-        if (span_end < input.size() && input[span_end] == '\n') {
-          ++span_end;
+  size_t p = 0;
+  for (size_t at; (at = input.find('\\', p)) != std::string_view::npos;) {
+    BackslashUnit unit = ScanBackslash(input, at);
+    p = unit.end;
+    switch (unit.kind) {
+      case BackslashUnit::Kind::kEscape:
+        break;
+      case BackslashUnit::Kind::kLoneBackslash:
+        push(ItemKind::kDamage, at, unit.end, "", 0);
+        break;
+      case BackslashUnit::Kind::kUnterminated:
+        // Damaged through the end of the line.
+        push(ItemKind::kDamage, at, unit.end, unit.name, 0);
+        break;
+      case BackslashUnit::Kind::kDirective: {
+        bool marker = unit.name == "begindata" || unit.name == "enddata";
+        if (!marker && unit.name != "view") {
+          break;
         }
-        flush_bytes(p);
-        items.push_back(Item{name == "begindata" ? ItemKind::kBegin : ItemKind::kEnd, p,
-                             span_end, std::move(type), id});
-      } else {
-        flush_bytes(p);
-        items.push_back(Item{ItemKind::kDamage, p, span_end, name, 0});
-      }
-      run_start = span_end;
-      p = span_end;
-      continue;
-    }
-    if (name == "view") {
-      std::string type;
-      int64_t id = 0;
-      if (!ParseMarkerArgs(args, &type, &id)) {
-        flush_bytes(p);
-        items.push_back(Item{ItemKind::kDamage, p, span_end, name, 0});
-        run_start = span_end;
-        p = span_end;
-        continue;
+        std::string_view type;
+        int64_t id = 0;
+        if (!ParseMarkerArgs(unit.args, &type, &id)) {
+          push(ItemKind::kDamage, at, unit.end, unit.name, 0);
+        } else if (marker) {
+          // One trailing newline belongs to the marker (reader rule).
+          size_t end = unit.end < input.size() && input[unit.end] == '\n' ? unit.end + 1 : unit.end;
+          push(unit.name == "begindata" ? ItemKind::kBegin : ItemKind::kEnd, at, end, type, id);
+        }
+        break;
       }
     }
-    // Any other well-formed \name{args} is clean payload.
-    p = span_end;
   }
-  flush_bytes(input.size());
+  if (input.size() > run_start) {
+    items.push_back(Item{ItemKind::kBytes, run_start, input.size(), "", 0});
+  }
   return items;
 }
 
 bool AllWhitespace(std::string_view bytes) {
   return bytes.find_first_not_of(" \t\r\n") == std::string_view::npos;
-}
-
-// WriteText-compatible escaping: the quarantined bytes become inert payload
-// that round-trips byte-exact through any reader/writer cycle.
-std::string EscapePayload(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char ch : raw) {
-    unsigned char byte = static_cast<unsigned char>(ch);
-    if (ch == '\\') {
-      out += "\\\\";
-    } else if (ch == '\n' || ch == '\t' || (byte >= 0x20 && byte < 0x7F)) {
-      out += ch;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\x{%02x}", byte);
-      out += buf;
-    }
-  }
-  return out;
 }
 
 // Attempted type of a damaged marker: the args prefix up to ',' / '}'.
@@ -232,24 +136,18 @@ std::string DataStreamSalvager::UnescapeQuarantine(std::string_view body) {
   std::string out;
   out.reserve(body.size());
   size_t p = 0;
-  while (p < body.size()) {
-    if (body[p] != '\\') {
-      out += body[p++];
-      continue;
-    }
-    if (p + 1 < body.size() && body[p + 1] == '\\') {
+  for (size_t b; (b = body.find('\\', p)) != std::string_view::npos;) {
+    out.append(body.substr(p, b - p));
+    BackslashUnit unit;
+    if (ScanEscape(body, b, &unit)) {
+      out += unit.byte;
+      p = unit.end;
+    } else {
       out += '\\';
-      p += 2;
-      continue;
+      p = b + 1;
     }
-    if (p + 5 < body.size() && body[p + 1] == 'x' && body[p + 2] == '{' &&
-        HexValue(body[p + 3]) >= 0 && HexValue(body[p + 4]) >= 0 && body[p + 5] == '}') {
-      out += static_cast<char>(HexValue(body[p + 3]) * 16 + HexValue(body[p + 4]));
-      p += 6;
-      continue;
-    }
-    out += body[p++];
   }
+  out.append(body.substr(p));
   return out;
 }
 
@@ -438,7 +336,7 @@ std::string RunSalvage(std::string_view input, SalvageReport& rep) {
     for (const auto& [offset, raw] : quarantines) {
       int64_t id = ++max_id;
       *dst += "\\begindata{" + std::string(kLostFoundType) + "," + std::to_string(id) + "}\n";
-      *dst += EscapePayload(raw);
+      AppendEscapedPayload(*dst, raw);
       *dst += "\n\\enddata{" + std::string(kLostFoundType) + "," + std::to_string(id) + "}\n";
       *dst += "\\view{" + std::string(kUnknownViewType) + "," + std::to_string(id) + "}\n";
     }

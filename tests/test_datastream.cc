@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -376,6 +377,32 @@ TEST(Reader, EscapedBackslashCannotFakeAMarker) {
   EXPECT_TRUE(r.SkipObject("text", t.id, &raw));
   EXPECT_EQ(r.Next().kind, Kind::kEof);
   EXPECT_FALSE(r.truncated());
+}
+
+TEST(Reader, SkipObjectIsLinearInUnterminatedDirectives) {
+  // Every "\\a{" below is an unterminated directive.  The skip used to look
+  // for its '}' through the rest of the input, quadratic in their count.
+  std::string lines;
+  for (int i = 0; i < 500000; ++i) {
+    lines += "\\a{\n";
+  }
+  std::string one_line;
+  for (int i = 0; i < 250000; ++i) {
+    one_line += "\\a{";
+  }
+  one_line += "\n";
+  for (const std::string& body : {lines, one_line}) {
+    DataStreamReader r("\\begindata{text,1}\n" + body + "\\enddata{text,1}\n");
+    ASSERT_EQ(r.Next().kind, Kind::kBeginData);
+    std::string_view raw;
+    auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(r.SkipObject("text", 1, &raw));
+    std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 1.0) << body.size() << " bytes";
+    EXPECT_EQ(raw, body);
+    EXPECT_EQ(r.Next().kind, Kind::kEof);
+    EXPECT_TRUE(r.diagnostics().empty());
+  }
 }
 
 // ---- DirectiveArgs against sscanf / istringstream ------------------------------------

@@ -13,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/apps/standard_modules.h"
 #include "src/base/data_object.h"
@@ -291,6 +295,136 @@ TEST(Salvage, SingleFaultLossIsBoundedToTheDamagedSubtree) {
   EXPECT_NE(out.find("after"), std::string::npos);
   // The victim's payload is still present (inside the quarantine).
   EXPECT_NE(out.find("payload bytes"), std::string::npos);
+}
+
+// ---- The §5 grammar: one scanner, three users -----------------------------
+
+std::string ReadAllDiagnostics(DataStreamReader& reader) {
+  while (reader.Next().kind != Kind::kEof) {
+  }
+  std::string report;
+  for (const Diagnostic& d : reader.diagnostics()) {
+    report += d.message + "\n";
+  }
+  return report;
+}
+
+TEST(MarkerIds, OverflowingIdsAreMalformed) {
+  // 18446744073709551617 is 2^64 + 1.  Ids used to be read with a wrapping
+  // (undefined) int64_t multiply, so this \enddata read as id 1 and closed
+  // \begindata{text,1} cleanly in the reader, the skip and the salvager.
+  const std::string wrapped = "\\begindata{text,1}\nbody\n\\enddata{text,18446744073709551617}\n";
+  {
+    DataStreamReader reader(wrapped);
+    ASSERT_EQ(reader.Next().kind, Kind::kBeginData);
+    ASSERT_EQ(reader.Next().kind, Kind::kText);
+    DataStreamReader::Token end = reader.Next();
+    EXPECT_EQ(end.kind, Kind::kDiagnostic);
+    EXPECT_EQ(end.text, "\\enddata{text,18446744073709551617}");
+    EXPECT_EQ(ReadAllDiagnostics(reader).rfind("malformed \\enddata marker args", 0), 0u);
+    EXPECT_TRUE(reader.truncated());
+  }
+  {
+    DataStreamReader reader(wrapped);
+    ASSERT_EQ(reader.Next().kind, Kind::kBeginData);
+    std::string_view raw;
+    EXPECT_TRUE(reader.SkipObject("text", 1, &raw));
+    EXPECT_EQ(raw, "body\n");
+    ASSERT_EQ(reader.diagnostics().size(), 1u);
+    EXPECT_NE(reader.diagnostics()[0].message.find(
+                  "closed by non-matching \\enddata{text,18446744073709551617}"),
+              std::string::npos);
+  }
+  {
+    SalvageReport report;
+    std::string repaired = DataStreamSalvager().Salvage(wrapped, &report);
+    EXPECT_FALSE(report.clean);
+    EXPECT_EQ(report.subtrees_quarantined, 1);
+    EXPECT_EQ(report.markers_closed, 1);
+    bool clean = false;
+    TokenizeAndReport(repaired, &clean);
+    EXPECT_TRUE(clean) << repaired;
+  }
+  // The edges of the range, and a sign, which the writer never emits.
+  auto first_token = [](const std::string& marker) {
+    DataStreamReader reader(marker + "\n");
+    DataStreamReader::Token token = reader.Next();
+    return std::make_pair(token.kind, token.id);
+  };
+  EXPECT_EQ(first_token("\\begindata{text,9223372036854775807}"),
+            std::make_pair(Kind::kBeginData, std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(first_token("\\begindata{text,9223372036854775808}").first, Kind::kDiagnostic);
+  EXPECT_EQ(first_token("\\begindata{text,99999999999999999999}").first, Kind::kDiagnostic);
+  EXPECT_EQ(first_token("\\begindata{text,-1}").first, Kind::kDiagnostic);
+  EXPECT_EQ(first_token("\\view{textview,-1}").first, Kind::kDiagnostic);
+  EXPECT_EQ(first_token("\\view{textview,00042}"), std::make_pair(Kind::kViewRef, int64_t{42}));
+}
+
+// The reader, SkipObject and the salvager read the stream with one scanner
+// (src/datastream/scanner.h); each case below is one damaged (or merely
+// odd) unit at the start of an object's body, and one row says how each of
+// the three answers it.  SkipObject counts \begindata names only, so a
+// mangled \begindata still opens a level and the skip runs to the end.
+TEST(Grammar, EveryGrammarUserReadsDamageTheSameWay) {
+  using Action = SalvageAction::Kind;
+  struct Case {
+    const char* name;
+    std::string unit;
+    Kind token;              // The reader's first token at the unit.
+    std::string diagnostic;  // Prefix of the reader's one diagnostic; "" = none.
+    std::vector<Action> actions;  // The salvager's repairs.
+    bool skip_closes;        // Whether SkipObject finds the object's \enddata.
+  };
+  const std::vector<Case> cases = {
+      {"lone backslash", "\\", Kind::kText, "lone backslash recovered as literal text",
+       {Action::kEscapedBackslash}, true},
+      {"unterminated directive", "\\foo{", Kind::kDiagnostic, "unterminated directive \\foo{",
+       {Action::kQuarantined}, true},
+      {"marker without id", "\\begindata{text}", Kind::kDiagnostic,
+       "malformed \\begindata marker args: {text}", {Action::kQuarantined}, false},
+      {"non-digit id", "\\begindata{text,1x}", Kind::kDiagnostic,
+       "malformed \\begindata marker args: {text,1x}", {Action::kQuarantined}, false},
+      {"overflowing id", "\\begindata{text,99999999999999999999}", Kind::kDiagnostic,
+       "malformed \\begindata marker args: {text,99999999999999999999}",
+       {Action::kQuarantined}, false},
+      {"view without id", "\\view{x}", Kind::kDiagnostic, "malformed \\view args: {x}",
+       {Action::kQuarantined}, true},
+      {"bad hex escape", "\\x{zz}", Kind::kDirective, "", {}, true},
+      {"escaped backslash", "\\\\begindata{text,1}", Kind::kText, "", {}, true},
+  };
+  const std::string open = "\\begindata{doc,1}\n";
+  const std::string close = "\\enddata{doc,1}\n";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string body = c.unit + "\n";
+    const std::string stream = open + body + close;
+
+    DataStreamReader reader(stream);
+    ASSERT_EQ(reader.Next().kind, Kind::kBeginData);
+    EXPECT_EQ(reader.Next().kind, c.token);
+    std::string diagnostics = ReadAllDiagnostics(reader);
+    if (c.diagnostic.empty()) {
+      EXPECT_EQ(diagnostics, "");
+    } else {
+      EXPECT_EQ(diagnostics.rfind(c.diagnostic, 0), 0u) << diagnostics;
+      EXPECT_EQ(std::count(diagnostics.begin(), diagnostics.end(), '\n'), 1) << diagnostics;
+    }
+
+    SalvageReport report;
+    DataStreamSalvager().Salvage(stream, &report);
+    std::vector<Action> actions;
+    for (const SalvageAction& action : report.actions) {
+      actions.push_back(action.kind);
+    }
+    EXPECT_EQ(actions, c.actions) << report.ToString();
+
+    DataStreamReader skipper(stream);
+    ASSERT_EQ(skipper.Next().kind, Kind::kBeginData);
+    std::string_view raw;
+    EXPECT_EQ(skipper.SkipObject("doc", 1, &raw), c.skip_closes);
+    EXPECT_EQ(raw, c.skip_closes ? body : body + close);
+    EXPECT_EQ(skipper.truncated(), !c.skip_closes);
+  }
 }
 
 // ---- FaultInjector determinism ---------------------------------------------
