@@ -34,6 +34,7 @@
 #include "src/observability/memory.h"
 #include "src/server/client_session.h"
 #include "src/server/document_server.h"
+#include "src/server/frame.h"
 #include "src/server/transport_sim.h"
 
 namespace atk {
@@ -212,6 +213,23 @@ BENCHMARK(BM_EditFanOut)->Arg(64)->Arg(256);
 
 void BM_EditFanOut_Traced(benchmark::State& state) { RunEditFanOut(state, true); }
 BENCHMARK(BM_EditFanOut_Traced)->Arg(64)->Arg(256);
+
+// The frame checksum alone, over a 38-byte header, a typical update payload
+// and a snapshot-sized buffer (bytes/s).  perf_baseline.json gates the
+// 4096-byte row, which only the carry-less-multiply fold path meets.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131 + 7);
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(bytes, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(38)->Arg(256)->Arg(4096);
 
 // A burst: 8 sessions each submit one insert in the same tick over clean
 // links, and the fleet steps until every replica holds the whole burst.

@@ -313,9 +313,11 @@ DataStreamReader::Token DataStreamReader::Lex() {
 bool DataStreamReader::SkipObject(std::string_view type, int64_t id,
                                   std::string_view* raw_body) {
   // Bracket-match on raw input without interpreting component payloads:
-  // only \begindata / \enddata directive names count, so a damaged marker
-  // still moves the depth.  The scanner reads "\\begindata" as an escaped
-  // backslash then text, and an unterminated "\name{" ends at its newline.
+  // only \begindata / \enddata directives count.  A \begindata whose args
+  // do not parse opens no level (Lex reads it as a diagnostic token too); a
+  // damaged \enddata still closes one.  The scanner reads "\\begindata" as
+  // an escaped backslash then text, and an unterminated "\name{" ends at its
+  // newline.
   if (has_peek_) {
     // A token was peeked past the begindata marker: rewind so its bytes are
     // part of the skipped body (they belong to the object).
@@ -331,12 +333,23 @@ bool DataStreamReader::SkipObject(std::string_view type, int64_t id,
     if (unit.kind != BackslashUnit::Kind::kDirective) {
       continue;
     }
-    if (unit.name == "begindata") {
-      ++depth_needed;
-    } else if (unit.name == "enddata" && --depth_needed == 0) {
-      std::string_view end_type;
-      int64_t end_id = 0;
-      if (!ParseMarkerArgs(unit.args, &end_type, &end_id) || end_type != type || end_id != id) {
+    const bool begin = unit.name == "begindata";
+    if (!begin && unit.name != "enddata") {
+      continue;
+    }
+    std::string_view marker_type;
+    int64_t marker_id = 0;
+    const bool well_formed = ParseMarkerArgs(unit.args, &marker_type, &marker_id);
+    if (begin) {
+      // A level opens only for a marker Lex would open: one whose args do
+      // not parse is a damaged unit inside the body, not a nested object.
+      if (well_formed) {
+        ++depth_needed;
+      }
+      continue;
+    }
+    if (--depth_needed == 0) {
+      if (!well_formed || marker_type != type || marker_id != id) {
         AddDiagnostic(StatusCode::kCorrupt, b,
                       "skip of \\begindata{" + std::string(type) + "," + std::to_string(id) +
                           "} closed by non-matching \\enddata{" + std::string(unit.args) +

@@ -49,7 +49,7 @@ Channel::Channel(SimulatedLink* link, LinkDir send_dir, Config config)
 
 void Channel::set_session(uint32_t session) {
   session_ = session;
-  std::deque<Frame> held = std::move(preattach_hold_);
+  std::vector<Frame> held = std::move(preattach_hold_);
   preattach_hold_.clear();
   for (Frame& frame : held) {
     if (frame.session != session_) {
@@ -64,13 +64,10 @@ void Channel::set_session(uint32_t session) {
   }
 }
 
-void Channel::Transmit(const Frame& frame, uint64_t now) {
-  (void)now;
-  Frame stamped = frame;
-  stamped.ack = last_in_;
+void Channel::Transmit(const Frame& frame) {
   ack_owed_ = false;
-  link_->Send(send_dir_, EncodeFrame(stamped),
-              /*snapshot_frame=*/stamped.type == FrameType::kSnapshot);
+  link_->Send(send_dir_, EncodeFrame(frame, last_in_),
+              /*snapshot_frame=*/frame.type == FrameType::kSnapshot);
 }
 
 void Channel::SendReliable(Frame frame, uint64_t now) {
@@ -87,16 +84,16 @@ void Channel::FillWindow(uint64_t now) {
     entry.frame = std::move(backlog_.front());
     backlog_.pop_front();
     entry.last_sent = now;
-    Transmit(entry.frame, now);
+    Transmit(entry.frame);
     ++stats_.sent;
     in_flight_.push_back(std::move(entry));
   }
 }
 
-void Channel::SendUnsequenced(Frame frame, uint64_t now) {
+void Channel::SendUnsequenced(Frame frame, uint64_t /*now*/) {
   frame.session = session_;
   frame.seq = 0;
-  Transmit(frame, now);
+  Transmit(frame);
   ++stats_.sent;
 }
 
@@ -227,20 +224,25 @@ std::vector<Frame> Channel::Pump(uint64_t now) {
       observability::FlowScope flow(entry.frame.flow);
       observability::ScopedSpan span("server.frame.retransmit");
       span.set_arg(static_cast<uint64_t>(entry.retries));
-      Transmit(entry.frame, now);
+      Transmit(entry.frame);
     }
     ++stats_.retransmits;
     static Counter& retries = MetricsRegistry::Instance().counter("server.retries.frame");
     retries.Add(1);
   }
-  // Data accepted but nothing outbound carried the ack: send a bare one.
-  if (ack_owed_) {
-    Frame ack_frame;
-    ack_frame.type = FrameType::kAck;
-    ack_frame.session = session_;
-    Transmit(ack_frame, now);
-  }
+  // An ack still owed is left for SendOwedAck: the owner's own frames this
+  // pump may carry it.
   return delivered;
+}
+
+void Channel::SendOwedAck() {
+  if (!ack_owed_) {
+    return;
+  }
+  Frame ack_frame;
+  ack_frame.type = FrameType::kAck;
+  ack_frame.session = session_;
+  Transmit(ack_frame);
 }
 
 void Channel::Reset(uint32_t session) {

@@ -10,8 +10,11 @@
 //     protocol state machine trivial, which is what you want when every
 //     frame can be lost);
 //   * every frame, reliable or not, piggybacks the cumulative ack (highest
-//     in-order sequence received); a pure kAck frame is emitted when data
-//     was accepted but nothing is heading back;
+//     in-order sequence received); when data was accepted but none of the
+//     owner's frames carried the ack by the end of its pump, SendOwedAck
+//     emits a pure kAck (the piggybacked ack of RFC 1122 §4.2.3.2: the
+//     server calls it after its update flush, the client after its outbox
+//     flush, so an update or edit frame replaces the bare ack);
 //   * unacked frames retransmit after `retransmit_base_ticks`, doubling per
 //     attempt (capped), until `max_retries` — then the channel declares
 //     itself broken and the owner must reconnect (client) or evict (server).
@@ -69,14 +72,20 @@ class Channel {
   // window wait in the backlog until acks open it.
   void SendReliable(Frame frame, uint64_t now);
 
-  // Fire-and-forget (seq 0): hellos before a session exists, pure acks,
-  // best-effort eviction notices.
+  // Fire-and-forget (seq 0): hellos before a session exists, best-effort
+  // eviction notices.
   void SendUnsequenced(Frame frame, uint64_t now);
 
   // One pump turn: drains the link's inbound bytes through the decoder,
-  // processes acks, retransmits what is due, emits a pure ack if needed.
-  // Returns the frames to deliver to the layer above, in order.
+  // processes acks, retransmits what is due.  Returns the frames to deliver
+  // to the layer above, in order.  Sends no pure ack: one owed after this
+  // call waits for SendOwedAck.
   std::vector<Frame> Pump(uint64_t now);
+
+  // Sends a pure kAck when data was accepted (or a duplicate or gap needs
+  // re-acking) and no frame has carried the ack since.  The owner calls it
+  // once at the end of its pump, after its own sends.
+  void SendOwedAck();
 
   // True once a frame exhausted its retries: the peer is unreachable.
   bool broken() const { return broken_; }
@@ -105,7 +114,8 @@ class Channel {
     int retries = 0;
   };
 
-  void Transmit(const Frame& frame, uint64_t now);
+  // Encodes `frame` with the current cumulative ack and sends it.
+  void Transmit(const Frame& frame);
   void FillWindow(uint64_t now);
   void ProcessAck(uint64_t ack, uint64_t now);
   // Go-back-N acceptance: true when `frame` is the next in-order sequence
@@ -122,8 +132,10 @@ class Channel {
   std::deque<Frame> backlog_;
   FrameDecoder decoder_;
   // Sequenced frames that raced ahead of the hello-ack naming our session:
-  // held until set_session decides whether they were ours all along.
-  std::deque<Frame> preattach_hold_;
+  // held until set_session decides whether they were ours all along.  A
+  // vector, not a deque: it is empty nearly always, and an empty vector
+  // allocates nothing where an empty deque holds a ~0.5 KB node.
+  std::vector<Frame> preattach_hold_;
   // Held frames accepted at set_session time, surfaced by the next Pump.
   std::vector<Frame> replayed_;
   uint64_t decoder_corrupt_seen_ = 0;

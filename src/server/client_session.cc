@@ -195,6 +195,10 @@ void ClientSession::Pump(uint64_t now) {
     RequestSnapshot(now);
   }
   FlushOutbox(now);
+  // An ack the edit frame (or a snapshot request) did not carry goes out
+  // bare.  No ack is owed at the early returns above: each one either reset
+  // the channel or never pumped it.
+  channel_.SendOwedAck();
 }
 
 void ClientSession::RequestSnapshot(uint64_t now) {
@@ -211,7 +215,7 @@ void ClientSession::RequestSnapshot(uint64_t now) {
 }
 
 void ClientSession::HandleUpdate(const Frame& frame, uint64_t now) {
-  EditPayload update;
+  EditPayload& update = update_;  // Reused: keeps its op vector's capacity.
   if (!DecodeEdit(frame.payload, &update)) {
     return;  // Damaged payload; the version gap triggers a resync below.
   }

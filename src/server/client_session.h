@@ -129,6 +129,9 @@ class ClientSession {
   // Submitted edits with the causal envelope allocated at submit time (flow
   // id + origin clock; both 0 when flow tracing is off).
   std::vector<EditRecord> outbox_;
+  // HandleUpdate's decode target, kept so its op vector is not regrown for
+  // every update frame.
+  EditPayload update_;
   uint32_t trace_track_ = 0;
   bool track_registered_ = false;
   // Hello retry state.

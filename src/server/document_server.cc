@@ -158,6 +158,11 @@ void DocumentServer::PumpOnce() {
     (void)name;
     FlushUpdates(*doc);
   }
+  // Acks ride the updates just flushed; a session that got none still owes
+  // a pure ack.
+  for (const std::unique_ptr<Endpoint>& endpoint : endpoints_) {
+    endpoint->channel->SendOwedAck();
+  }
 }
 
 void DocumentServer::PumpEndpoint(Endpoint& endpoint) {

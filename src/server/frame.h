@@ -28,6 +28,11 @@
 // and re-sync on the next byte.  Corrupted frames are counted, reported,
 // and dropped — recovery is the retransmit layer's job
 // (src/server/channel.h), not the codec's.
+//
+// Every frame is checksummed twice on each side (payload and header CRC,
+// at encode and at decode), so Crc32 is on the hot path of every session:
+// it folds long inputs with carry-less multiplies where the CPU has them
+// (see Crc32 below), and the encoder builds the header in one local array.
 
 #ifndef ATK_SRC_SERVER_FRAME_H_
 #define ATK_SRC_SERVER_FRAME_H_
@@ -70,11 +75,18 @@ struct Frame {
 inline constexpr size_t kFrameHeaderSize = 38;
 inline constexpr uint32_t kFrameMagic = 0x464B5441u;  // "ATKF" little-endian.
 
-// IEEE CRC32 (the Ethernet/zlib polynomial), table-driven.
+// IEEE CRC32 (the Ethernet/zlib polynomial).  `seed` chains:
+// Crc32(b, Crc32(a)) == Crc32(a + b).  On x86-64 CPUs with PCLMULQDQ (probed
+// once at run time) the 16-byte-multiple prefix of an input of 64 bytes or
+// more is folded with carry-less multiplies; the rest, and every shorter
+// input, runs a slice-by-8 table loop.  Both paths give the same values.
 uint32_t Crc32(std::string_view bytes, uint32_t seed = 0);
 
-// Encodes `frame` into its wire bytes.
-std::string EncodeFrame(const Frame& frame);
+// Encodes `frame` into its wire bytes with `ack` in the cumulative-ack
+// field (the channel stamps its current ack at send time without copying
+// the frame).
+std::string EncodeFrame(const Frame& frame, uint64_t ack);
+inline std::string EncodeFrame(const Frame& frame) { return EncodeFrame(frame, frame.ack); }
 
 // Incremental decoder: feed arbitrary byte chunks, harvest whole frames.
 // Bytes that fail the magic scan or the CRC check are skipped and counted —

@@ -215,10 +215,12 @@ bool DecodeEdit(std::string_view payload, EditPayload* out) {
 }
 
 uint32_t SnapshotSum(uint64_t version, const std::string& document) {
-  std::string keyed = std::to_string(version);
-  keyed.push_back('\n');
-  keyed += document;
-  return Crc32(keyed);
+  // The CRC of "<version>\n" + document, chained through the seed so the
+  // document is not copied.
+  char head[24];
+  char* end = std::to_chars(head, head + sizeof(head) - 1, version).ptr;
+  *end++ = '\n';
+  return Crc32(document, Crc32(std::string_view(head, static_cast<size_t>(end - head))));
 }
 
 std::string EncodeSnapshot(const SnapshotPayload& snapshot) {

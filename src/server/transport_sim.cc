@@ -138,12 +138,18 @@ std::vector<std::string> SimulatedLink::Receive(LinkDir dir) {
   }
   // Delivery order: maturity tick, then submission order — a delayed frame
   // is overtaken by everything sent while it was held (the reorder case).
-  std::stable_sort(ready.begin(), ready.end(), [](const InFlight& a, const InFlight& b) {
+  // The pipe is in submission order, so without a delayed frame the ready
+  // run is already sorted; sorting only then spares the merge buffer
+  // stable_sort allocates.
+  auto before = [](const InFlight& a, const InFlight& b) {
     if (a.deliver_at != b.deliver_at) {
       return a.deliver_at < b.deliver_at;
     }
     return a.order < b.order;
-  });
+  };
+  if (!std::is_sorted(ready.begin(), ready.end(), before)) {
+    std::stable_sort(ready.begin(), ready.end(), before);
+  }
   std::vector<std::string> out;
   out.reserve(ready.size());
   for (InFlight& frame : ready) {

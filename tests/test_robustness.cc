@@ -381,12 +381,12 @@ TEST(Grammar, EveryGrammarUserReadsDamageTheSameWay) {
       {"unterminated directive", "\\foo{", Kind::kDiagnostic, "unterminated directive \\foo{",
        {Action::kQuarantined}, true},
       {"marker without id", "\\begindata{text}", Kind::kDiagnostic,
-       "malformed \\begindata marker args: {text}", {Action::kQuarantined}, false},
+       "malformed \\begindata marker args: {text}", {Action::kQuarantined}, true},
       {"non-digit id", "\\begindata{text,1x}", Kind::kDiagnostic,
-       "malformed \\begindata marker args: {text,1x}", {Action::kQuarantined}, false},
+       "malformed \\begindata marker args: {text,1x}", {Action::kQuarantined}, true},
       {"overflowing id", "\\begindata{text,99999999999999999999}", Kind::kDiagnostic,
        "malformed \\begindata marker args: {text,99999999999999999999}",
-       {Action::kQuarantined}, false},
+       {Action::kQuarantined}, true},
       {"view without id", "\\view{x}", Kind::kDiagnostic, "malformed \\view args: {x}",
        {Action::kQuarantined}, true},
       {"bad hex escape", "\\x{zz}", Kind::kDirective, "", {}, true},

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -142,6 +143,63 @@ TEST(Frame, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
 }
 
+// The bytewise reference: one polynomial step per bit, no tables.
+uint32_t ReferenceCrcStep(uint32_t crc, unsigned char byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
+TEST(Frame, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Covers the fold path's entry (64 bytes), every tail length it leaves
+  // for the table loop, the 64-byte and 16-byte fold loops, and inputs that
+  // start off any 16-byte boundary.
+  constexpr size_t kMaxLength = 4096;
+  std::string data(kMaxLength, '\0');
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (char& c : data) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(state >> 56);
+  }
+  alignas(16) static char buffer[kMaxLength + 16];
+  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x5A17C0DEu}) {
+    // reference[n] is the CRC of the first n bytes under `seed`.
+    std::vector<uint32_t> reference(kMaxLength + 1);
+    uint32_t crc = ~seed;
+    reference[0] = seed;
+    for (size_t n = 1; n <= kMaxLength; ++n) {
+      crc = ReferenceCrcStep(crc, static_cast<unsigned char>(data[n - 1]));
+      reference[n] = ~crc;
+    }
+    for (size_t align = 0; align < 16; ++align) {
+      std::memcpy(buffer + align, data.data(), kMaxLength);
+      for (size_t n = 0; n <= kMaxLength; ++n) {
+        uint32_t got = Crc32(std::string_view(buffer + align, n), seed);
+        if (got != reference[n]) {
+          ADD_FAILURE() << "seed " << seed << " alignment " << align << " length " << n
+                        << ": got " << got << ", want " << reference[n];
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST(Frame, Crc32ChainsThroughTheSeed) {
+  std::string data(3000, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + (i >> 3));
+  }
+  const std::string_view all(data);
+  const uint32_t whole = Crc32(all);
+  for (size_t split : {0, 1, 15, 63, 64, 65, 100, 1024, 2999, 3000}) {
+    SCOPED_TRACE(split);
+    EXPECT_EQ(Crc32(all.substr(split), Crc32(all.substr(0, split))), whole);
+  }
+}
+
 // ----------------------------------------------------------- Fault plans --
 
 TEST(TransportFaultPlan, FromSpecParsesEveryKey) {
@@ -197,7 +255,9 @@ TEST(TransportFaultInjector, PayloadCorruptionOnlyHitsSnapshotFrames) {
 
 // -------------------------------------------------------------- Channels --
 
-// Drives both channel halves over a link until `ticks` have elapsed.
+// Drives both channel halves over a link until `ticks` have elapsed.  Each
+// half ends its turn with the owner's ack call, as ClientSession::Pump and
+// DocumentServer::PumpOnce do.
 std::vector<Frame> PumpBoth(Channel& client, Channel& server, SimulatedLink& link,
                             int ticks, std::vector<Frame>* to_client = nullptr) {
   std::vector<Frame> to_server;
@@ -207,12 +267,47 @@ std::vector<Frame> PumpBoth(Channel& client, Channel& server, SimulatedLink& lin
         to_client->push_back(std::move(f));
       }
     }
+    client.SendOwedAck();
     for (Frame& f : server.Pump(link.now())) {
       to_server.push_back(std::move(f));
     }
+    server.SendOwedAck();
     link.Tick();
   }
   return to_server;
+}
+
+TEST(Channel, OwedAckRidesTheOwnersNextFrame) {
+  SimulatedLink link;
+  Channel client(&link, LinkDir::kClientToServer);
+  Channel server(&link, LinkDir::kServerToClient);
+  Frame edit;
+  edit.type = FrameType::kEdit;
+  edit.payload = "edit";
+  client.SendReliable(std::move(edit), link.now());
+  link.Tick();
+  ASSERT_EQ(server.Pump(link.now()).size(), 1u);
+  EXPECT_FALSE(link.HasDeliverable(LinkDir::kServerToClient))
+      << "Pump leaves the owed ack to the owner";
+
+  // The owner's reply carries the ack, so SendOwedAck has nothing to send.
+  Frame update;
+  update.type = FrameType::kUpdate;
+  update.payload = "update";
+  server.SendReliable(std::move(update), link.now());
+  server.SendOwedAck();
+  link.Tick();
+  std::vector<Frame> replies = client.Pump(link.now());
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, FrameType::kUpdate);
+  EXPECT_EQ(replies[0].ack, 1u);
+  EXPECT_EQ(client.pending(), 0u) << "the update's ack released the edit";
+
+  // Nothing heads back from the client: its owed ack goes out bare, once.
+  client.SendOwedAck();
+  client.SendOwedAck();
+  link.Tick();
+  EXPECT_EQ(link.Receive(LinkDir::kClientToServer).size(), 1u);
 }
 
 TEST(Channel, ReliableDeliveryInOrderOverCleanLink) {
@@ -488,6 +583,21 @@ TEST(Protocol, MultiOpPayloadRoundTripsWithPerOpFlows) {
   }
 }
 
+TEST(Protocol, SnapshotSumIsTheCrcOfVersionLineAndDocument) {
+  std::string document = "\\begindata{text,1}\n";
+  while (document.size() < 6000) {
+    document += "line " + std::to_string(document.size()) + " of a snapshot body\n";
+  }
+  document += "\\enddata{text,1}\n";
+  for (uint64_t version : {uint64_t{0}, uint64_t{7}, uint64_t{123456789},
+                           ~uint64_t{0}}) {
+    SCOPED_TRACE(version);
+    EXPECT_EQ(SnapshotSum(version, document),
+              Crc32(std::to_string(version) + "\n" + document));
+  }
+  EXPECT_EQ(SnapshotSum(3, ""), Crc32("3\n"));
+}
+
 TEST(Protocol, DamagedEditPayloadsAreRejected) {
   EditPayload out;
   // Text shorter than the op's length.
@@ -664,6 +774,9 @@ TEST(DocumentServer, BurstFromOneTickIsOneUpdateFramePerSession) {
   uint64_t version = h.server.version("notes");
   std::vector<uint64_t> delivered = DeliveredFrames(h);
   uint64_t fanned = h.server.stats().updates_fanned_out;
+  observability::Counter& frames_sent =
+      observability::MetricsRegistry::Instance().counter("server.frames.sent");
+  uint64_t sent = frames_sent.value();
 
   for (int i = 0; i < kClients; ++i) {
     h.clients[i]->SubmitEdit(InsertOp(0, "<" + std::to_string(i) + ">"));
@@ -673,6 +786,9 @@ TEST(DocumentServer, BurstFromOneTickIsOneUpdateFramePerSession) {
   const std::string server_text = h.server.document("notes")->GetAllText();
   EXPECT_EQ(h.server.version("notes"), version + kClients);
   EXPECT_EQ(h.server.stats().updates_fanned_out - fanned, static_cast<uint64_t>(kClients));
+  // Per client: its edit, its update (carrying the edit's ack) and its bare
+  // ack of the update.  A separate bare ack of the edit would make it 4.
+  EXPECT_EQ(frames_sent.value() - sent, static_cast<uint64_t>(3 * kClients));
   for (int i = 0; i < kClients; ++i) {
     SCOPED_TRACE("client " + std::to_string(i));
     EXPECT_EQ(h.clients[i]->channel().stats().delivered - delivered[i], 1u)
