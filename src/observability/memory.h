@@ -235,7 +235,9 @@ bool WriteMemSnapshotFile(const std::string& path);
 
 // Reads the environment once and applies it (idempotent; called from
 // observability::InitFromEnv):
-//   ATK_MEM_SNAPSHOT=path     write a memsnapshot document at process exit.
+//   ATK_MEM_SNAPSHOT=path     write a memsnapshot document at process exit;
+//                             every document is freed by then, so it holds
+//                             accounts and totals but no census rows.
 void MemoryInitFromEnv();
 
 }  // namespace observability

@@ -219,12 +219,12 @@ TEST(PerfGates, CommittedGateFileHoldsEveryCheck) {
       EXPECT_EQ(gate.factor, 1.2);
     }
   }
-  EXPECT_EQ(absolute, 14);
+  EXPECT_EQ(absolute, 16);
   EXPECT_EQ(rate, 9);
   EXPECT_EQ(speedup, 1);
   EXPECT_EQ(traced, 3);
   EXPECT_EQ(twins, 2);
-  EXPECT_EQ(GroupGates(gates).size(), 23u);
+  EXPECT_EQ(GroupGates(gates).size(), 25u);
 }
 
 }  // namespace
